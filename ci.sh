@@ -122,6 +122,12 @@ echo "==> bddfc-fuzz serve_vs_scratch_chase (incremental serve vs from-scratch c
 cargo run -q --release -p bddfc-fuzz --bin bddfc-fuzz -- \
     --seed 1 --budget-ms 5000 --prop serve_vs_scratch_chase
 
+echo "==> perfbench serve_mix (resident instance vs scratch chase after each pass; no timing gate)"
+# perfbench exits 1 when a pass's resident instance differs from a
+# from-scratch chase of the surviving base; its timings are not checked.
+cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload serve_mix --seed 1 --seconds 5 --trace 0 | tail -n 1
+
 echo "==> bddfc-fuzz static_bound_vs_observed_rounds (certificates vs the real chase)"
 cargo run -q --release -p bddfc-fuzz --bin bddfc-fuzz -- \
     --seed 1 --budget-ms 5000 --prop static_bound_vs_observed_rounds

@@ -32,7 +32,8 @@ use bddfc_core::join::{self, JoinMode};
 use bddfc_core::obs::{Event, EventSink, Null, SpanTimer, NULL};
 use bddfc_core::par;
 use bddfc_core::{
-    hom, Binding, ConstId, Fact, Instance, PredId, Rule, Term, Theory, VarId, Vocabulary,
+    hom, Binding, ConstId, Fact, FactIdx, Instance, PredId, Rule, Term, Theory, VarId,
+    Vocabulary,
 };
 use std::ops::{ControlFlow, Range};
 use std::time::Duration;
@@ -831,6 +832,67 @@ fn bind_atom(atom: &bddfc_core::Atom, fact: &Fact) -> Option<Binding> {
     Some(binding)
 }
 
+/// Collects the repairs of the triggers that deleting `removed` from the
+/// instance re-opened. A trigger that was satisfied before the deletion
+/// and is violated after it had a head witness that mapped some head
+/// atom onto a removed fact, so unifying each removed fact with each
+/// head atom of its predicate binds part of that trigger's frontier;
+/// the body matches in the (surviving) instance that extend the binding
+/// include every such trigger. Admission against the instance then
+/// keeps exactly the ones whose heads lost every witness.
+///
+/// Sequential and tuple-at-a-time: a retraction removes few facts, so
+/// the seeded joins are small, and the candidates are sorted into the
+/// canonical order before they are applied anyway.
+fn collect_repairs_reopened<S: EventSink>(
+    inst: &Instance,
+    theory: &Theory,
+    templates: &[RuleTemplate],
+    variant: ChaseVariant,
+    fired: &mut FxHashSet<(usize, Key)>,
+    removed: &[Fact],
+    work: &mut RoundWork,
+) -> Vec<Repair> {
+    if S::ENABLED && work.rule_work.is_empty() {
+        work.rule_work = vec![RuleWork::default(); theory.rules.len()];
+    }
+    let mut removed_by_pred: FxHashMap<PredId, Vec<&Fact>> = FxHashMap::default();
+    for f in removed {
+        removed_by_pred.entry(f.pred).or_default().push(f);
+    }
+    let mut seen: FxHashSet<(usize, Key)> = FxHashSet::default();
+    let mut cands: Vec<Candidate> = Vec::new();
+    for (rule_idx, rule) in theory.rules.iter().enumerate() {
+        let frontier = &templates[rule_idx].frontier;
+        let timer = S::ENABLED.then(SpanTimer::start);
+        let mut matches = 0u64;
+        for head_atom in &rule.head {
+            let Some(facts) = removed_by_pred.get(&head_atom.pred) else { continue };
+            for fact in facts {
+                // Binds frontier and existential variables alike (a
+                // repeated existential must still match consistently);
+                // only the frontier part constrains the body.
+                let Some(mut binding) = bind_atom(head_atom, fact) else { continue };
+                binding.retain(|v, _| frontier.binary_search(v).is_ok());
+                let _ = hom::for_each_hom(inst, &rule.body, &binding, |b| {
+                    matches += 1;
+                    let key = key_of_binding(frontier, b);
+                    if seen.insert((rule_idx, key.clone())) {
+                        cands.push(Candidate { rule_idx, key });
+                    }
+                    ControlFlow::Continue(())
+                });
+            }
+        }
+        work.body_matches += matches;
+        if let Some(timer) = timer {
+            work.rule_work[rule_idx].body_matches += matches;
+            work.rule_work[rule_idx].enum_ns += timer.elapsed_ns();
+        }
+    }
+    admit_candidates(inst, theory, templates, variant, fired, cands, work)
+}
+
 /// Collects this round's repairs semi-naively: only body matches that use
 /// at least one fact of `delta` (the previous round's new facts) are
 /// enumerated, by pinning each body atom to delta facts in turn and
@@ -1162,7 +1224,7 @@ fn apply_repairs(
     templates: &[RuleTemplate],
     voc: &mut Vocabulary,
     mut repairs: Vec<Repair>,
-    mut record: Option<&mut Vec<(Fact, usize)>>,
+    mut record: Option<&mut Vec<(FactIdx, usize)>>,
 ) -> (usize, u64) {
     repairs.sort_by(|a, b| (a.rule_idx, &a.key).cmp(&(b.rule_idx, &b.key)));
     // Most repairs insert their head atoms; reserving up front keeps the
@@ -1188,10 +1250,8 @@ fn apply_repairs(
             }));
             let inserted = inst.insert_ground(*pred, &args);
             if inserted {
-                // Only the traced path (incremental maintenance) pays for
-                // the Fact materialization; the hot path passes `None`.
                 if let Some(out) = record.as_deref_mut() {
-                    out.push((Fact::new(*pred, args.clone()), repair_idx));
+                    out.push((inst.len() - 1, repair_idx));
                 }
             }
         }
@@ -1223,6 +1283,17 @@ pub fn chase_round(
     );
     let (start, _) = apply_repairs(inst, &templates, voc, repairs, None);
     inst.facts()[start..].to_vec()
+}
+
+/// How one derived fact was obtained, by fact index: the rule that fired
+/// and the grounded body of the homomorphism that witnessed the trigger
+/// (see [`ChaseStepper::step_traced`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Support {
+    /// Index of the rule that derived the fact.
+    pub rule_idx: usize,
+    /// Indexes of the premise facts, in rule-body order.
+    pub premises: Vec<FactIdx>,
 }
 
 /// A resumable round-by-round chase driver: owns the growing instance,
@@ -1401,30 +1472,66 @@ impl<'t, S: EventSink> ChaseStepper<'t, S> {
     }
 
     /// Runs one round like [`ChaseStepper::step_indexed`], additionally
-    /// appending `(fact, derivation)` pairs for every fact the round
-    /// inserted to `out` — the premises are the grounded body of one
-    /// (canonically chosen) homomorphism witnessing the trigger against
-    /// the pre-round instance. This is what incremental maintenance
-    /// records so DRed retraction can later over-delete exactly the
-    /// facts whose recorded derivations lost a premise.
+    /// appending one `(fact index, support)` pair for every fact the
+    /// round inserted to `out` — the premises are the grounded body of
+    /// one (canonically chosen) homomorphism witnessing the trigger
+    /// against the pre-round instance, so each premise index is smaller
+    /// than the index of the fact it supports. This is what incremental
+    /// maintenance records so DRed retraction can later over-delete
+    /// exactly the facts whose recorded derivations lost a premise.
     ///
     /// Costs one extra homomorphism search per fired trigger; the
     /// untraced path is unaffected.
     pub fn step_traced(
         &mut self,
         voc: &mut Vocabulary,
-        out: &mut Vec<(Fact, crate::trace::Derivation)>,
+        out: &mut Vec<(FactIdx, Support)>,
     ) -> usize {
         self.step_impl(voc, Some(out))
     }
 
-    fn step_impl(
+    /// Runs one traced round over the triggers that deleting `removed`
+    /// from the instance re-opened (see [`ChaseStepper::step_traced`]
+    /// for `out`): the triggers whose heads were witnessed only through
+    /// removed facts. `None` means no trigger fired; then no round is
+    /// counted and nothing is reported to the sink.
+    ///
+    /// The semi-naive invariant this restores: a resumed stepper assumes
+    /// every trigger inside `facts()[..pending_delta().start]` was
+    /// processed, which deleting a witness breaks. After this round it
+    /// holds again, and the next delta spans both this round's new facts
+    /// and whatever delta was still pending. Like
+    /// [`ChaseStepper::resume`], this is meant for the restricted
+    /// variant.
+    pub(crate) fn step_reopened_traced(
         &mut self,
         voc: &mut Vocabulary,
-        traced: Option<&mut Vec<(Fact, crate::trace::Derivation)>>,
-    ) -> usize {
+        removed: &[Fact],
+        out: &mut Vec<(FactIdx, Support)>,
+    ) -> Option<usize> {
         let timer = SpanTimer::start();
-        let round_span = if S::ENABLED {
+        let mut work = RoundWork::default();
+        let repairs = collect_repairs_reopened::<S>(
+            &self.instance,
+            self.theory,
+            &self.templates,
+            self.variant,
+            &mut self.fired,
+            removed,
+            &mut work,
+        );
+        if repairs.is_empty() {
+            return None;
+        }
+        let round_span = self.open_round_span();
+        let pending = self.delta.start;
+        let start = self.finish_round(voc, timer, round_span, work, repairs, Some(out));
+        self.delta = pending.min(start)..self.instance.len();
+        Some(start)
+    }
+
+    fn open_round_span(&self) -> u64 {
+        if S::ENABLED {
             self.sink.span_open(
                 "chase",
                 "round",
@@ -1433,7 +1540,16 @@ impl<'t, S: EventSink> ChaseStepper<'t, S> {
             )
         } else {
             0
-        };
+        }
+    }
+
+    fn step_impl(
+        &mut self,
+        voc: &mut Vocabulary,
+        traced: Option<&mut Vec<(FactIdx, Support)>>,
+    ) -> usize {
+        let timer = SpanTimer::start();
+        let round_span = self.open_round_span();
         let mut work = RoundWork::default();
         let repairs = match self.strategy {
             ChaseStrategy::Naive => collect_repairs_naive::<S>(
@@ -1457,6 +1573,21 @@ impl<'t, S: EventSink> ChaseStepper<'t, S> {
                 &mut work,
             ),
         };
+        self.finish_round(voc, timer, round_span, work, repairs, traced)
+    }
+
+    /// Applies a round's admitted repairs, records its stats and
+    /// telemetry, and makes its new facts the next delta. Returns the
+    /// index of the first new fact.
+    fn finish_round(
+        &mut self,
+        voc: &mut Vocabulary,
+        timer: SpanTimer,
+        round_span: u64,
+        work: RoundWork,
+        repairs: Vec<Repair>,
+        traced: Option<&mut Vec<(FactIdx, Support)>>,
+    ) -> usize {
         self.first_round = false;
         let triggers_fired = repairs.len() as u64;
         self.stats.body_matches_per_round.push(work.body_matches);
@@ -1466,9 +1597,10 @@ impl<'t, S: EventSink> ChaseStepper<'t, S> {
         // twice is idempotent) and ground one witnessing homomorphism
         // per repair.
         let mut repairs = repairs;
-        let mut recorded: Vec<(Fact, usize)> = Vec::new();
-        let premises: Vec<(usize, Vec<Fact>)> = if traced.is_some() {
+        let mut recorded: Vec<(FactIdx, usize)> = Vec::new();
+        let supports: Vec<Support> = if traced.is_some() {
             repairs.sort_by(|a, b| (a.rule_idx, &a.key).cmp(&(b.rule_idx, &b.key)));
+            let mut args: Vec<ConstId> = Vec::new();
             repairs
                 .iter()
                 .map(|r| {
@@ -1482,16 +1614,21 @@ impl<'t, S: EventSink> ChaseStepper<'t, S> {
                     let rule = &self.theory.rules[r.rule_idx];
                     let b = hom::find_hom(&self.instance, &rule.body, &init)
                         .expect("repair key was produced by a body homomorphism");
-                    let prem = rule
+                    let premises = rule
                         .body
                         .iter()
                         .map(|a| {
-                            a.apply(&|v| b.get(&v).map(|&c| Term::Const(c)))
-                                .to_fact()
-                                .expect("body grounded by homomorphism")
+                            args.clear();
+                            args.extend(a.args.iter().map(|t| match t {
+                                Term::Const(c) => *c,
+                                Term::Var(v) => b[v],
+                            }));
+                            self.instance
+                                .index_of(a.pred, &args)
+                                .expect("body atom grounded by a homomorphism is resident")
                         })
                         .collect();
-                    (r.rule_idx, prem)
+                    Support { rule_idx: r.rule_idx, premises }
                 })
                 .collect()
         } else {
@@ -1501,18 +1638,9 @@ impl<'t, S: EventSink> ChaseStepper<'t, S> {
         let (start, nulls_created) =
             apply_repairs(&mut self.instance, &self.templates, voc, repairs, record);
         if let Some(out) = traced {
-            let round = u32::try_from(self.rounds_done + 1).unwrap_or(u32::MAX);
-            for (fact, repair_idx) in recorded {
-                let (rule_idx, prem) = &premises[repair_idx];
-                out.push((
-                    fact,
-                    crate::trace::Derivation {
-                        rule_idx: *rule_idx,
-                        premises: prem.clone(),
-                        round,
-                    },
-                ));
-            }
+            out.extend(
+                recorded.into_iter().map(|(idx, repair_idx)| (idx, supports[repair_idx].clone())),
+            );
         }
         let new_fact_count = (self.instance.len() - start) as u64;
         self.delta = start..self.instance.len();

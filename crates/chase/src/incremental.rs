@@ -1,6 +1,6 @@
 //! Incremental chase maintenance: a resident chased instance that
 //! absorbs fact insertions as semi-naive delta rounds and fact
-//! retractions by DRed-style over-delete/re-derive.
+//! retractions by DRed (delete and re-derive).
 //!
 //! ## Why insertion is "just another round"
 //!
@@ -21,22 +21,31 @@
 //! invalidate derived facts, which may invalidate further facts, while
 //! other copies remain independently derivable. The classical answer is
 //! **DRed** (delete-and-rederive): over-delete everything whose recorded
-//! derivation (transitively) used a deleted fact, then re-run the chase
-//! on the survivors so anything with an alternative derivation comes
-//! back. To support this, maintenance rounds run through
-//! [`ChaseStepper::step_traced`], recording one canonical derivation
-//! ([`Derivation`], the same structure `trace::traced_chase` produces)
-//! per derived fact.
+//! derivation (transitively) used a deleted fact, then re-derive what
+//! still has another derivation. To support this, maintenance rounds
+//! run through [`ChaseStepper::step_traced`], recording one canonical
+//! derivation ([`Support`]: rule plus premise fact indexes) per derived
+//! fact.
+//!
+//! Recorded premises always precede the fact they support in insertion
+//! order (a round derives from the instance as it stood before the
+//! round), and deletion keeps the survivors' order. So the over-delete
+//! cascade is one forward pass from the first deleted fact, and
+//! re-derivation only has to look at the triggers whose head witnesses
+//! were deleted (`ChaseStepper::step_reopened_traced`) before resuming
+//! semi-naive rounds from there. Beyond moving the survivors into a
+//! rebuilt store, a retraction's work follows the change, not the whole
+//! resident state.
 //!
 //! The maintained invariant, restored after every mutation: **every
 //! resident fact is a base fact or carries a recorded derivation whose
-//! premises are themselves resident**. By induction every resident fact
-//! has a full derivation tree over the current base, so the resident
-//! instance maps homomorphically into every model of (base, theory) —
-//! which is what makes resident-instance query answers *certain*
-//! answers (a query witnessed in the resident instance is certainly
-//! entailed even before fixpoint; "certainly false" additionally needs
-//! the fixpoint flag).
+//! premises are themselves resident** (and precede it). By induction
+//! every resident fact has a full derivation tree over the current
+//! base, so the resident instance maps homomorphically into every model
+//! of (base, theory) — which is what makes resident-instance query
+//! answers *certain* answers (a query witnessed in the resident instance
+//! is certainly entailed even before fixpoint; "certainly false"
+//! additionally needs the fixpoint flag).
 //!
 //! The maintained chase is always the restricted variant under
 //! semi-naive evaluation — the pair whose resumption invariant the
@@ -44,11 +53,11 @@
 //! resumption would need the fired set carried across mutations).
 
 use crate::answers::BudgetExhausted;
-use crate::engine::{ChaseStepper, ChaseStrategy, ChaseVariant};
-use crate::trace::{Derivation, DerivationTree, TracedChase};
-use bddfc_core::fxhash::{FxHashMap, FxHashSet};
+use crate::engine::{ChaseStepper, ChaseStrategy, ChaseVariant, Support};
+use crate::trace::{derivation_tree, DerivationTree};
+use bddfc_core::fxhash::FxHashSet;
 use bddfc_core::obs::{EventSink, NULL};
-use bddfc_core::{Fact, Instance, Theory, Vocabulary};
+use bddfc_core::{Fact, FactIdx, Instance, Theory, Vocabulary};
 
 /// Per-mutation resource limits for incremental maintenance — the
 /// analogue of [`crate::engine::ChaseConfig`] for a single
@@ -81,7 +90,8 @@ pub struct MaintainOutcome {
     /// the retracted base facts themselves (retraction only; counts
     /// facts later re-derived too).
     pub overdeleted: usize,
-    /// Closure rounds this mutation ran.
+    /// Closure rounds this mutation ran. A retraction's re-derivation
+    /// round counts only when it fires a trigger.
     pub rounds: u32,
     /// Whether the resident instance is at a fixpoint of the theory.
     pub complete: bool,
@@ -97,11 +107,17 @@ pub struct IncrementalChase {
     theory: Theory,
     /// Base (extensional) facts, in first-insertion order.
     base: Vec<Fact>,
-    base_set: FxHashSet<Fact>,
     /// The resident instance: base plus everything derived so far.
     instance: Instance,
-    /// One recorded derivation per derived resident fact.
-    provenance: FxHashMap<Fact, Derivation>,
+    /// Per resident fact, parallel to `instance.facts()`: is it a base
+    /// fact?
+    is_base: Vec<bool>,
+    /// Per resident fact, parallel to `instance.facts()`: its recorded
+    /// derivation, if it has one. Premise indexes are smaller than the
+    /// index of the fact they support.
+    support: Vec<Option<Support>>,
+    /// Number of `Some` entries in `support`.
+    derived: usize,
     /// Start of the unprocessed suffix of `instance.facts()` — equal to
     /// `instance.len()` exactly when the closure is complete.
     delta_start: usize,
@@ -122,9 +138,10 @@ impl IncrementalChase {
         IncrementalChase {
             theory: theory.clone(),
             base: Vec::new(),
-            base_set: FxHashSet::default(),
             instance: Instance::new(),
-            provenance: FxHashMap::default(),
+            is_base: Vec::new(),
+            support: Vec::new(),
+            derived: 0,
             delta_start: 0,
             complete: true,
             exhausted: None,
@@ -189,10 +206,10 @@ impl IncrementalChase {
         self.rederived_total
     }
 
-    /// Number of derived resident facts carrying a recorded derivation —
-    /// the size of the provenance (derivation) index.
+    /// Number of resident facts carrying a recorded derivation — the
+    /// size of the provenance (derivation) index.
     pub fn provenance_len(&self) -> usize {
-        self.provenance.len()
+        self.derived
     }
 
     /// Inserts base facts and closes over them with semi-naive delta
@@ -208,12 +225,21 @@ impl IncrementalChase {
     ) -> MaintainOutcome {
         let before = self.instance.len();
         for f in facts {
-            if self.base_set.insert(f.clone()) {
-                self.base.push(f.clone());
+            match self.instance.index_of(f.pred, &f.args) {
+                Some(i) if self.is_base[i] => {}
+                Some(i) => {
+                    self.is_base[i] = true;
+                    self.base.push(f.clone());
+                }
+                None => {
+                    self.instance.insert(f.clone());
+                    self.is_base.push(true);
+                    self.support.push(None);
+                    self.base.push(f.clone());
+                }
             }
-            self.instance.insert(f.clone());
         }
-        let mut outcome = self.close(voc, config, sink);
+        let mut outcome = self.close(&[], voc, config, sink);
         outcome.new_facts = self.instance.len() - before;
         outcome
     }
@@ -234,6 +260,11 @@ impl IncrementalChase {
     /// derivations come back. Retracting a fact that is not currently a
     /// base fact is a no-op (in particular, purely-derived facts cannot
     /// be retracted — they would immediately be re-derived).
+    ///
+    /// The cascade walks forward from the first deleted fact, the
+    /// survivors are moved (not cloned) into a rebuilt store, and
+    /// re-derivation starts from the triggers whose head witnesses were
+    /// deleted rather than from every trigger of the instance.
     pub fn retract_with<S: EventSink>(
         &mut self,
         facts: &[Fact],
@@ -241,77 +272,80 @@ impl IncrementalChase {
         config: MaintainConfig,
         sink: &S,
     ) -> MaintainOutcome {
-        let mut retracted = 0usize;
-        let mut deleted: FxHashSet<Fact> = FxHashSet::default();
-        let mut work: Vec<Fact> = Vec::new();
+        let n = self.instance.len();
+        let mut deleted = vec![false; n];
+        let mut first = n;
+        let mut retracted: FxHashSet<&Fact> = FxHashSet::default();
         for f in facts {
-            if self.base_set.remove(f) {
-                retracted += 1;
-                // A retracted base fact survives as a derived fact if it
-                // has a recorded derivation; otherwise it is a deletion
-                // seed.
-                if !self.provenance.contains_key(f) {
-                    if deleted.insert(f.clone()) {
-                        work.push(f.clone());
-                    }
+            let Some(i) = self.instance.index_of(f.pred, &f.args) else { continue };
+            if !self.is_base[i] {
+                continue;
+            }
+            self.is_base[i] = false;
+            retracted.insert(f);
+            // A retracted base fact survives as a derived fact if it has
+            // a recorded derivation; otherwise it is a deletion seed.
+            if self.support[i].is_none() {
+                deleted[i] = true;
+                first = first.min(i);
+            }
+        }
+        if retracted.is_empty() {
+            return self.unchanged();
+        }
+        self.base.retain(|f| !retracted.contains(f));
+
+        // Over-delete: premises precede their dependents, so one forward
+        // pass sees every premise's fate before the facts it supports. A
+        // dependent loses its stored derivation; if it is not
+        // base-supported it is deleted and cascades.
+        let mut overdeleted = 0usize;
+        for i in first..n {
+            if deleted[i] {
+                continue;
+            }
+            let lost = self.support[i]
+                .as_ref()
+                .is_some_and(|s| s.premises.iter().any(|&p| deleted[p]));
+            if lost {
+                self.support[i] = None;
+                self.derived -= 1;
+                if !self.is_base[i] {
+                    deleted[i] = true;
+                    overdeleted += 1;
                 }
             }
         }
-        if retracted == 0 {
-            return MaintainOutcome {
-                new_facts: 0,
-                retracted: 0,
-                overdeleted: 0,
-                rounds: 0,
-                complete: self.complete,
-                exhausted: self.exhausted,
-                facts_total: self.instance.len(),
-            };
-        }
-        self.base.retain(|f| self.base_set.contains(f));
-        let seed_count = deleted.len();
 
-        // Over-delete: reverse the stored premise edges once, then walk
-        // the dependency cone of the seeds. A dependent loses its stored
-        // derivation; if it is not base-supported it is deleted and
-        // cascades.
-        let mut rev: FxHashMap<Fact, Vec<Fact>> = FxHashMap::default();
-        for (f, d) in &self.provenance {
-            for p in &d.premises {
-                rev.entry(p.clone()).or_default().push(f.clone());
+        // Rebuild the store from the survivors, keeping their order, and
+        // move the side tables and the pending delta along with it. Facts
+        // before `first` keep their indexes.
+        let removed = self.instance.retain(|i, _| !deleted[i]);
+        let start = first.min(self.delta_start);
+        self.delta_start -= deleted[start..self.delta_start].iter().filter(|&&d| d).count();
+        let mut new_index = vec![usize::MAX; n - first];
+        let support = self.support.split_off(first);
+        let is_base = self.is_base.split_off(first);
+        for (offset, (s, b)) in support.into_iter().zip(is_base).enumerate() {
+            if deleted[first + offset] {
+                continue;
             }
-        }
-        while let Some(x) = work.pop() {
-            let Some(deps) = rev.get(&x) else { continue };
-            for dep in deps.clone() {
-                if self.provenance.remove(&dep).is_some() && !self.base_set.contains(&dep) {
-                    if deleted.insert(dep.clone()) {
-                        work.push(dep);
+            new_index[offset] = self.support.len();
+            self.support.push(s.map(|mut s| {
+                for p in &mut s.premises {
+                    if *p >= first {
+                        *p = new_index[*p - first];
+                        debug_assert_ne!(*p, usize::MAX, "a survivor's premise survives");
                     }
                 }
-            }
+                s
+            }));
+            self.is_base.push(b);
         }
-        let overdeleted = deleted.len() - seed_count;
+        let rederive_from = self.instance.len();
 
-        // Rebuild the survivor instance (the store is append-only, so
-        // deletion is reconstruction), preserving insertion order.
-        let mut survivors = Instance::new();
-        for f in self.instance.facts() {
-            if !deleted.contains(f) {
-                survivors.insert(f.clone());
-            }
-        }
-        let rederive_from = survivors.len();
-        self.instance = survivors;
-
-        // Re-derive: every survivor is delta, so the first resumed round
-        // re-enumerates all triggers; restricted admission skips the
-        // still-witnessed ones and re-fires the ones whose witnesses
-        // were over-deleted. This also subsumes any delta left pending
-        // by an earlier exhausted mutation.
-        self.delta_start = 0;
-        let mut outcome = self.close(voc, config, sink);
-        outcome.retracted = retracted;
+        let mut outcome = self.close(&removed, voc, config, sink);
+        outcome.retracted = retracted.len();
         outcome.overdeleted = overdeleted;
         outcome.new_facts = self.instance.len() - rederive_from;
         self.overdeleted_total += overdeleted as u64;
@@ -329,28 +363,33 @@ impl IncrementalChase {
         self.retract_with(facts, voc, config, &NULL)
     }
 
-    /// Runs provenance-recording closure rounds over the pending delta
-    /// until fixpoint or budget.
+    /// The outcome of a mutation that changed nothing.
+    fn unchanged(&self) -> MaintainOutcome {
+        MaintainOutcome {
+            new_facts: 0,
+            retracted: 0,
+            overdeleted: 0,
+            rounds: 0,
+            complete: self.complete,
+            exhausted: self.exhausted,
+            facts_total: self.instance.len(),
+        }
+    }
+
+    /// Runs provenance-recording closure rounds until fixpoint or
+    /// budget: first the round re-opened by the `removed` facts (if
+    /// any), then semi-naive rounds over the pending delta.
     fn close<S: EventSink>(
         &mut self,
+        removed: &[Fact],
         voc: &mut Vocabulary,
         config: MaintainConfig,
         sink: &S,
     ) -> MaintainOutcome {
-        let mut rounds = 0u32;
-        let mut derivs: Vec<(Fact, Derivation)> = Vec::new();
-        if self.delta_start == self.instance.len() {
+        if self.delta_start == self.instance.len() && removed.is_empty() {
             // Nothing pending (e.g. every inserted fact was already
             // resident): the completeness state is unchanged.
-            return MaintainOutcome {
-                new_facts: 0,
-                retracted: 0,
-                overdeleted: 0,
-                rounds,
-                complete: self.complete,
-                exhausted: self.exhausted,
-                facts_total: self.instance.len(),
-            };
+            return self.unchanged();
         }
         let instance = std::mem::replace(&mut self.instance, Instance::new());
         let delta = self.delta_start..instance.len();
@@ -365,8 +404,18 @@ impl IncrementalChase {
         if let Some(p) = &self.priors {
             stepper = stepper.with_priors(p.clone());
         }
-        let round_base = self.rounds_total;
+        let mut supports: Vec<(FactIdx, Support)> = Vec::new();
+        // The re-opened round runs whatever the round budget: until it
+        // has run, the resumption invariant does not hold.
+        let mut grew = !removed.is_empty()
+            && stepper.step_reopened_traced(voc, removed, &mut supports).is_some();
+        let mut rounds = u32::from(grew);
         loop {
+            if grew && stepper.instance.len() > config.max_facts {
+                self.complete = false;
+                self.exhausted = Some(BudgetExhausted::Facts);
+                break;
+            }
             if stepper.pending_delta().is_empty() {
                 self.complete = true;
                 self.exhausted = None;
@@ -378,16 +427,12 @@ impl IncrementalChase {
                 break;
             }
             let before = stepper.instance.len();
-            stepper.step_traced(voc, &mut derivs);
+            stepper.step_traced(voc, &mut supports);
             rounds += 1;
-            if stepper.instance.len() == before {
+            grew = stepper.instance.len() > before;
+            if !grew {
                 self.complete = true;
                 self.exhausted = None;
-                break;
-            }
-            if stepper.instance.len() > config.max_facts {
-                self.complete = false;
-                self.exhausted = Some(BudgetExhausted::Facts);
                 break;
             }
         }
@@ -398,52 +443,38 @@ impl IncrementalChase {
         };
         self.rounds_total += u64::from(rounds);
         self.instance = stepper.into_instance();
-        for (f, mut d) in derivs {
-            // Stepper-local round numbers are rebased onto the lifetime
-            // counter so provenance stays monotone across mutations.
-            d.round = u32::try_from(round_base).unwrap_or(u32::MAX).saturating_add(d.round);
-            self.provenance.insert(f, d);
+        self.is_base.resize(self.instance.len(), false);
+        self.support.resize(self.instance.len(), None);
+        self.derived += supports.len();
+        for (idx, s) in supports {
+            self.support[idx] = Some(s);
         }
-        MaintainOutcome {
-            new_facts: 0,
-            retracted: 0,
-            overdeleted: 0,
-            rounds,
-            complete: self.complete,
-            exhausted: self.exhausted,
-            facts_total: self.instance.len(),
-        }
+        MaintainOutcome { rounds, ..self.unchanged() }
     }
 
     /// Extracts the derivation tree of a resident fact (`None` if the
-    /// fact is not resident). Base facts are leaves.
+    /// fact is not resident). Base facts are leaves. Walks the recorded
+    /// derivations in place.
     pub fn explain(&self, fact: &Fact) -> Option<DerivationTree> {
-        self.traced_view().explain(fact)
-    }
-
-    /// A [`TracedChase`] view of the resident state (clones instance and
-    /// provenance — meant for debugging commands, not hot paths).
-    pub fn traced_view(&self) -> TracedChase {
-        TracedChase {
-            instance: self.instance.clone(),
-            provenance: self.provenance.clone(),
-            rounds: u32::try_from(self.rounds_total).unwrap_or(u32::MAX),
-            fixpoint: self.complete,
-        }
+        let root = self.instance.index_of(fact.pred, &fact.args)?;
+        Some(derivation_tree(
+            root,
+            |&i| self.instance.fact(i).clone(),
+            |&i| self.support[i].as_ref().map(|s| (s.rule_idx, s.premises.as_slice())),
+        ))
     }
 
     /// Debug invariant: every resident fact is base-supported or carries
-    /// a recorded derivation whose premises are resident. Returns the
-    /// first violating fact, if any.
+    /// a recorded derivation whose premises are resident and precede it.
+    /// Returns the first violating fact, if any.
     pub fn check_support(&self) -> Option<&Fact> {
-        self.instance.facts().iter().find(|f| {
-            if self.base_set.contains(f) {
-                return false;
-            }
-            match self.provenance.get(f) {
-                Some(d) => !d.premises.iter().all(|p| self.instance.contains_ground(p.pred, &p.args)),
-                None => true,
-            }
+        assert_eq!(self.is_base.len(), self.instance.len(), "base flags track the instance");
+        assert_eq!(self.support.len(), self.instance.len(), "supports track the instance");
+        assert_eq!(self.support.iter().flatten().count(), self.derived, "derived count drift");
+        self.instance.facts().iter().enumerate().find_map(|(i, f)| {
+            let supported = self.is_base[i]
+                || self.support[i].as_ref().is_some_and(|s| s.premises.iter().all(|&p| p < i));
+            (!supported).then_some(f)
         })
     }
 }
@@ -454,6 +485,7 @@ mod tests {
     use crate::engine::{chase, ChaseConfig};
     use bddfc_core::hom;
     use bddfc_core::parse_program;
+    use bddfc_core::satisfaction::satisfies_theory;
 
     fn cfg() -> MaintainConfig {
         MaintainConfig::default()
@@ -563,6 +595,137 @@ mod tests {
     }
 
     #[test]
+    fn base_fact_that_lost_its_derivation_goes_when_retracted() {
+        // E(a,c) is derived from E(a,b), E(b,c), then also inserted as a
+        // base fact. Retracting E(b,c) leaves it resident (base) but cuts
+        // its recorded derivation; retracting it afterwards must remove
+        // it instead of keeping it on a derivation that no longer holds.
+        let prog = parse_program(
+            "E(X,Y), E(Y,Z) -> E(X,Z).
+             E(a,b). E(b,c).",
+        )
+        .unwrap();
+        let mut voc = prog.voc.clone();
+        let mut inc = IncrementalChase::new(&prog.theory);
+        inc.insert(prog.instance.facts(), &mut voc, cfg());
+        let e = voc.pred("E", 2);
+        let (a, c) = (voc.constant("a"), voc.constant("c"));
+        let eac = Fact::new(e, vec![a, c]);
+        assert!(inc.instance().contains(&eac));
+        let derived_before = inc.provenance_len();
+        let out = inc.insert(std::slice::from_ref(&eac), &mut voc, cfg());
+        assert_eq!(out.new_facts, 0, "E(a,c) was already resident");
+        assert_eq!(inc.provenance_len(), derived_before, "it keeps its derivation");
+        let ebc = prog.instance.facts()[1].clone();
+        let out = inc.retract(&[ebc], &mut voc, cfg());
+        assert_eq!(out.overdeleted, 0, "E(a,c) is base-supported");
+        assert!(inc.instance().contains(&eac));
+        assert_eq!(inc.provenance_len(), 0, "its derivation lost a premise");
+        assert!(inc.check_support().is_none());
+        let out = inc.retract(std::slice::from_ref(&eac), &mut voc, cfg());
+        assert_eq!(out.retracted, 1);
+        assert!(!inc.instance().contains(&eac));
+        assert_eq!(inc.instance().len(), 1, "only E(a,b) is left");
+        assert!(inc.check_support().is_none());
+    }
+
+    #[test]
+    fn existential_trigger_refires_when_its_witness_is_retracted() {
+        let prog = parse_program(
+            "P(X) -> exists Z . E(X,Z).
+             E(a,b). P(a).",
+        )
+        .unwrap();
+        let mut voc = prog.voc.clone();
+        let mut inc = IncrementalChase::new(&prog.theory);
+        inc.insert(prog.instance.facts(), &mut voc, cfg());
+        assert_eq!(inc.instance().len(), 2, "E(a,b) witnesses P(a)'s trigger");
+        let eab = prog.instance.facts()[0].clone();
+        let out = inc.retract(std::slice::from_ref(&eab), &mut voc, cfg());
+        assert!(out.complete);
+        assert_eq!((out.retracted, out.overdeleted, out.new_facts), (1, 0, 1));
+        assert_eq!(out.rounds, 2, "the re-opened round, then one finding the fixpoint");
+        assert!(!inc.instance().contains(&eab));
+        assert_eq!(inc.instance().len(), 2, "P(a) and a fresh E(a,_)");
+        assert!(satisfies_theory(inc.instance(), &prog.theory));
+        assert!(inc.check_support().is_none());
+    }
+
+    #[test]
+    fn retract_that_rederives_nothing_runs_no_round() {
+        let prog = parse_program(
+            "E(X,Y), E(Y,Z) -> E(X,Z).
+             E(a,b). E(b,c).",
+        )
+        .unwrap();
+        let mut voc = prog.voc.clone();
+        let mut inc = IncrementalChase::new(&prog.theory);
+        inc.insert(prog.instance.facts(), &mut voc, cfg());
+        let rounds_before = inc.rounds_total();
+        let out = inc.retract(&[prog.instance.facts()[1].clone()], &mut voc, cfg());
+        assert!(out.complete);
+        assert_eq!((out.overdeleted, out.new_facts, out.rounds), (1, 0, 0));
+        assert_eq!(inc.rounds_total(), rounds_before);
+    }
+
+    #[test]
+    fn retract_during_an_incomplete_closure_resumes_the_pending_delta() {
+        let mut src = String::from("E(X,Y), E(Y,Z) -> E(X,Z).\n");
+        for i in 0..8 {
+            src.push_str(&format!("E(v{i},v{}).\n", i + 1));
+        }
+        let prog = parse_program(&src).unwrap();
+        let mut voc = prog.voc.clone();
+        let mut inc = IncrementalChase::new(&prog.theory);
+        let tight = MaintainConfig { max_rounds: 1, ..MaintainConfig::default() };
+        let out = inc.insert(prog.instance.facts(), &mut voc, tight);
+        assert!(!out.complete);
+        // Retract an edge near the end: the pending delta (this round's
+        // new facts) partly survives and must still be processed.
+        let out = inc.retract(&[prog.instance.facts()[6].clone()], &mut voc, cfg());
+        assert!(out.complete);
+        let base: Instance = inc.base().iter().cloned().collect();
+        let scratch = chase(&base, &prog.theory, &mut prog.voc.clone(), ChaseConfig::default());
+        assert_eq!(*inc.instance(), scratch.instance);
+        assert!(inc.check_support().is_none());
+    }
+
+    #[test]
+    fn random_insert_retract_sessions_match_scratch_chase() {
+        // Datalog closures are confluent: after every mutation the
+        // resident instance must equal the chase of the current base.
+        let prog = parse_program(
+            "E(X,Y) -> T(X,Y).
+             T(X,Y), E(Y,Z) -> T(X,Z).
+             T(X,Y), T(Y,X) -> C(X).",
+        )
+        .unwrap();
+        let mut voc = prog.voc.clone();
+        let e = voc.pred("E", 2);
+        let nodes: Vec<_> = (0..7).map(|i| voc.constant(&format!("v{i}"))).collect();
+        let mut rng = bddfc_core::prng::SplitMix64::new(3);
+        let mut inc = IncrementalChase::new(&prog.theory);
+        for step in 0..120 {
+            let edge = Fact::new(e, vec![*rng.pick(&nodes), *rng.pick(&nodes)]);
+            let out = if rng.below(2) == 0 {
+                inc.insert(&[edge], &mut voc, cfg())
+            } else {
+                let victim = match inc.base().len() {
+                    0 => edge,
+                    n => inc.base()[rng.below(n)].clone(),
+                };
+                inc.retract(&[victim], &mut voc, cfg())
+            };
+            assert!(out.complete);
+            let base: Instance = inc.base().iter().cloned().collect();
+            let scratch =
+                chase(&base, &prog.theory, &mut prog.voc.clone(), ChaseConfig::default());
+            assert_eq!(*inc.instance(), scratch.instance, "step {step}");
+            assert!(inc.check_support().is_none(), "step {step}");
+        }
+    }
+
+    #[test]
     fn lifetime_counters_accumulate_across_retractions() {
         let prog = parse_program(
             "E(X,Y), E(Y,Z) -> E(X,Z).
@@ -571,7 +734,7 @@ mod tests {
         .unwrap();
         let mut voc = prog.voc.clone();
         let mut inc = IncrementalChase::new(&prog.theory);
-        inc.insert(&prog.instance.facts().to_vec(), &mut voc, cfg());
+        inc.insert(prog.instance.facts(), &mut voc, cfg());
         // Retracting base E(a,c) leaves it derivable: the cascade
         // deletes nothing, but re-derivation brings back anything the
         // over-deletion took (here the rebuilt E(a,c) support).

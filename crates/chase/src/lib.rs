@@ -28,7 +28,7 @@ pub use answers::{
 pub use incremental::{IncrementalChase, MaintainConfig, MaintainOutcome};
 pub use engine::{
     chase, chase_k, chase_round, chase_with, chase_with_priors, ChaseConfig, ChaseResult,
-    ChaseStats, ChaseStatus, ChaseStepper, ChaseStrategy, ChaseVariant, FiredSet,
+    ChaseStats, ChaseStatus, ChaseStepper, ChaseStrategy, ChaseVariant, FiredSet, Support,
 };
 pub use finder::{countermodel, find_model, find_model_with, FinderConfig, SearchOutcome};
 pub use saturate::{

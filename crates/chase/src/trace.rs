@@ -274,42 +274,55 @@ pub fn traced_chase(
 impl TracedChase {
     /// Extracts the derivation tree of a fact (database facts are
     /// leaves). Returns `None` if the fact is not in the instance.
-    ///
-    /// Iterative on derivation depth (a chained existential rule makes
-    /// derivations as deep as the run is long, far beyond what the call
-    /// stack tolerates): a breadth-first pass flattens the provenance
-    /// graph into an indexed node list, then the tree is assembled
-    /// bottom-up. Facts shared between derivations are expanded once per
-    /// occurrence — the result is a tree, exactly as the recursive
-    /// definition reads.
     pub fn explain(&self, fact: &Fact) -> Option<DerivationTree> {
         if !self.instance.contains(fact) {
             return None;
         }
-        let mut facts: Vec<Fact> = vec![fact.clone()];
-        let mut ranges: Vec<(usize, usize, Option<usize>)> = Vec::new();
-        let mut i = 0;
-        while i < facts.len() {
-            let (rule_idx, premises): (Option<usize>, &[Fact]) =
-                match self.provenance.get(&facts[i]) {
-                    None => (None, &[]),
-                    Some(d) => (Some(d.rule_idx), &d.premises),
-                };
-            let start = facts.len();
-            facts.extend(premises.iter().cloned());
-            ranges.push((start, facts.len(), rule_idx));
-            i += 1;
-        }
-        let mut built: Vec<Option<DerivationTree>> = (0..facts.len()).map(|_| None).collect();
-        for idx in (0..facts.len()).rev() {
-            let (start, end, rule_idx) = ranges[idx];
-            let premises = (start..end)
-                .map(|c| built[c].take().expect("child built before parent"))
-                .collect();
-            built[idx] = Some(DerivationTree { fact: facts[idx].clone(), rule_idx, premises });
-        }
-        Some(built[0].take().expect("root built last"))
+        Some(derivation_tree(
+            fact.clone(),
+            |f| f.clone(),
+            |f| self.provenance.get(f).map(|d| (d.rule_idx, d.premises.as_slice())),
+        ))
     }
+}
+
+/// Builds the derivation tree rooted at `root` over any provenance
+/// store: `fact` names a node's fact, and `step` gives the rule and
+/// premises of a derived node (`None` for a database fact).
+///
+/// Iterative on derivation depth (a chained existential rule makes
+/// derivations as deep as the run is long, far beyond what the call
+/// stack tolerates): a breadth-first pass flattens the provenance graph
+/// into an indexed node list, then the tree is assembled bottom-up.
+/// Facts shared between derivations are expanded once per occurrence —
+/// the result is a tree, exactly as the recursive definition reads.
+pub(crate) fn derivation_tree<'a, K: Clone + 'a>(
+    root: K,
+    fact: impl Fn(&K) -> Fact,
+    step: impl Fn(&K) -> Option<(usize, &'a [K])>,
+) -> DerivationTree {
+    let mut nodes: Vec<K> = vec![root];
+    let mut ranges: Vec<(usize, usize, Option<usize>)> = Vec::new();
+    let mut i = 0;
+    while i < nodes.len() {
+        let (rule_idx, premises) = match step(&nodes[i]) {
+            None => (None, &[][..]),
+            Some((r, p)) => (Some(r), p),
+        };
+        let start = nodes.len();
+        nodes.extend(premises.iter().cloned());
+        ranges.push((start, nodes.len(), rule_idx));
+        i += 1;
+    }
+    let mut built: Vec<Option<DerivationTree>> = (0..nodes.len()).map(|_| None).collect();
+    for idx in (0..nodes.len()).rev() {
+        let (start, end, rule_idx) = ranges[idx];
+        let premises = (start..end)
+            .map(|c| built[c].take().expect("child built before parent"))
+            .collect();
+        built[idx] = Some(DerivationTree { fact: fact(&nodes[idx]), rule_idx, premises });
+    }
+    built[0].take().expect("root built last")
 }
 
 #[cfg(test)]

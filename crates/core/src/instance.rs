@@ -137,6 +137,23 @@ impl Instance {
         self.facts.push(fact);
     }
 
+    /// Keeps the facts that `keep` accepts and returns the others, both in
+    /// insertion order. The survivors are moved into the rebuilt store,
+    /// not cloned; postings are rebuilt on the next probe.
+    pub fn retain(&mut self, mut keep: impl FnMut(FactIdx, &Fact) -> bool) -> Vec<Fact> {
+        let facts = std::mem::take(self).facts;
+        self.reserve(facts.len());
+        let mut removed = Vec::new();
+        for (idx, fact) in facts.into_iter().enumerate() {
+            if keep(idx, &fact) {
+                self.insert_new(fact_hash(fact.pred, &fact.args), fact);
+            } else {
+                removed.push(fact);
+            }
+        }
+        removed
+    }
+
     /// The by-element access paths, built on first use after an insert.
     fn elems(&self) -> &ElemIndex {
         self.elems.get_or_init(|| ElemIndex::build(&self.facts))
@@ -157,6 +174,11 @@ impl Instance {
     /// checks) never materialize a [`Fact`] just to ask.
     pub fn contains_ground(&self, pred: PredId, args: &[ConstId]) -> bool {
         self.lookup(fact_hash(pred, args), pred, args).is_some()
+    }
+
+    /// The index of the ground fact `pred(args)`, if it is stored.
+    pub fn index_of(&self, pred: PredId, args: &[ConstId]) -> Option<FactIdx> {
+        self.lookup(fact_hash(pred, args), pred, args)
     }
 
     /// Number of facts.
@@ -401,6 +423,34 @@ mod tests {
         let inst = chain(&mut voc, 10);
         assert_eq!(*inst.index(), FactIndex::rebuild(inst.facts()));
         assert_eq!(*inst.columnar(), ColumnarStore::rebuild(inst.facts()));
+    }
+
+    #[test]
+    fn retain_keeps_survivors_in_order_and_returns_the_rest() {
+        let mut voc = Vocabulary::new();
+        let mut inst = chain(&mut voc, 12);
+        let e = voc.find_pred("E").unwrap();
+        let a3 = voc.find_const("a3").unwrap();
+        assert_eq!(inst.facts_with_pred_pos_const(e, 0, a3).len(), 1);
+        let all: Vec<Fact> = inst.facts().to_vec();
+        let removed = inst.retain(|i, _| i % 3 != 0);
+        let (mut gone, mut survivors) = (Vec::new(), Vec::new());
+        for (i, f) in all.into_iter().enumerate() {
+            if i % 3 == 0 {
+                gone.push(f);
+            } else {
+                survivors.push(f);
+            }
+        }
+        assert_eq!(removed, gone);
+        assert_eq!(inst.facts(), survivors.as_slice());
+        assert_eq!(*inst.index(), FactIndex::rebuild(&survivors));
+        assert_eq!(*inst.columnar(), ColumnarStore::rebuild(&survivors));
+        for (idx, f) in survivors.iter().enumerate() {
+            assert_eq!(inst.index_of(f.pred, &f.args), Some(idx));
+        }
+        assert!(gone.iter().all(|f| !inst.contains(f)));
+        assert!(inst.facts_with_pred_pos_const(e, 0, a3).is_empty(), "E(a3,a4) was removed");
     }
 
     #[test]

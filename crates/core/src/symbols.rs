@@ -47,13 +47,18 @@ impl VarId {
     }
 }
 
-/// String interner storing each name exactly once: ids map to names
-/// through `names`, and names map back through a content-hash table keyed
-/// by the name's 64-bit hash. The (astronomically rare, but handled)
-/// case of two distinct names sharing a hash spills into `collisions`.
+/// String interner storing each name exactly once. All names live
+/// back to back in one `arena` string and `ends[id]` is where name `id`
+/// stops, so ids map to names by slicing, and cloning the interner (a
+/// query's private [`Vocabulary`] copy) is a few flat copies rather than
+/// one allocation per name. Names map back to ids through a
+/// content-hash table keyed by the name's 64-bit hash; the
+/// (astronomically rare, but handled) case of two distinct names
+/// sharing a hash spills into `collisions`.
 #[derive(Clone, Debug, Default)]
 struct Interner {
-    names: Vec<String>,
+    arena: String,
+    ends: Vec<u32>,
     by_hash: FxHashMap<u64, u32>,
     collisions: FxHashMap<String, u32>,
 }
@@ -69,39 +74,48 @@ impl Interner {
     fn intern(&mut self, name: &str) -> (u32, bool) {
         let h = hash_name(name);
         match self.by_hash.get(&h) {
-            Some(&id) if self.names[id as usize] == name => (id, false),
+            Some(&id) if self.name(id) == name => (id, false),
             Some(_) => {
                 // Hash collision between distinct names.
                 if let Some(&id) = self.collisions.get(name) {
                     return (id, false);
                 }
-                let id = self.names.len() as u32;
-                self.names.push(name.to_owned());
+                let id = self.push(name);
                 self.collisions.insert(name.to_owned(), id);
                 (id, true)
             }
             None => {
-                let id = self.names.len() as u32;
-                self.names.push(name.to_owned());
+                let id = self.push(name);
                 self.by_hash.insert(h, id);
                 (id, true)
             }
         }
     }
 
+    /// Appends `name` to the arena and returns its new id.
+    fn push(&mut self, name: &str) -> u32 {
+        let id = self.ends.len() as u32;
+        self.arena.push_str(name);
+        let end = u32::try_from(self.arena.len()).expect("interned names exceed 4 GiB");
+        self.ends.push(end);
+        id
+    }
+
     fn lookup(&self, name: &str) -> Option<u32> {
         match self.by_hash.get(&hash_name(name)) {
-            Some(&id) if self.names[id as usize] == name => Some(id),
+            Some(&id) if self.name(id) == name => Some(id),
             _ => self.collisions.get(name).copied(),
         }
     }
 
     fn name(&self, id: u32) -> &str {
-        &self.names[id as usize]
+        let id = id as usize;
+        let start = if id == 0 { 0 } else { self.ends[id - 1] as usize };
+        &self.arena[start..self.ends[id] as usize]
     }
 
     fn len(&self) -> usize {
-        self.names.len()
+        self.ends.len()
     }
 }
 
@@ -411,6 +425,76 @@ mod tests {
         let x = voc.var("X");
         let f = voc.fresh_var("X");
         assert_ne!(x, f);
+    }
+
+    #[test]
+    fn interned_names_round_trip_including_multibyte() {
+        let mut interner = Interner::default();
+        let names = ["a", "", "Σ", "ab", "été", "a", "🦀x", "Σ", "x🦀"];
+        let ids: Vec<u32> = names.iter().map(|n| interner.intern(n).0).collect();
+        for (name, &id) in names.iter().zip(&ids) {
+            assert_eq!(interner.name(id), *name);
+            assert_eq!(interner.lookup(name), Some(id));
+        }
+        assert_eq!(ids[0], ids[5]);
+        assert_eq!(ids[2], ids[7]);
+        assert_eq!(interner.len(), 7, "duplicates are interned once");
+        assert_eq!(interner.lookup("é"), None);
+    }
+
+    #[test]
+    fn hash_collisions_spill_and_round_trip() {
+        let mut interner = Interner::default();
+        let (a, _) = interner.intern("alpha");
+        // Pretend "beta" hashes to alpha's slot: the next intern of "beta"
+        // must take the spill path and keep both names apart.
+        interner.by_hash.insert(hash_name("beta"), a);
+        let (b, new) = interner.intern("beta");
+        assert!(new);
+        assert_ne!(a, b);
+        assert_eq!(interner.collisions.get("beta"), Some(&b));
+        assert_eq!(interner.intern("beta"), (b, false));
+        assert_eq!(interner.lookup("beta"), Some(b));
+        assert_eq!(interner.lookup("alpha"), Some(a));
+        assert_eq!(interner.name(b), "beta");
+        assert_eq!(interner.name(a), "alpha");
+        let copy = interner.clone();
+        assert_eq!(copy.lookup("beta"), Some(b));
+        assert_eq!(copy.name(b), "beta");
+    }
+
+    #[test]
+    fn interning_into_a_clone_leaves_the_original_unchanged() {
+        let mut voc = Vocabulary::new();
+        let e = voc.pred("E", 2);
+        let a = voc.constant("a");
+        let n = voc.fresh_null("n");
+        let x = voc.var("X");
+        let mut reader = voc.clone();
+        let b = reader.constant("b");
+        let y = reader.var("Y");
+        let m = reader.fresh_null("n");
+        reader.pred("Q", 1);
+        assert_eq!(reader.const_name(b), "b");
+        assert_eq!(reader.var_name(y), "Y");
+        assert!(reader.is_null(m));
+        // The original sees none of the reader's names and keeps its ids.
+        assert_eq!(voc.find_const("b"), None);
+        assert_eq!(voc.find_pred("Q"), None);
+        assert_eq!(voc.const_count(), 2);
+        assert_eq!(voc.var_count(), 1);
+        assert_eq!(voc.pred_count(), 1);
+        assert_eq!(voc.find_pred("E"), Some(e));
+        assert_eq!(voc.find_const("a"), Some(a));
+        assert_eq!(voc.const_name(n), reader.const_name(n));
+        assert_eq!(voc.var_name(x), "X");
+        // The original interns on as if the reader never existed: its
+        // next constant gets the id the reader's "b" took, under its own
+        // name.
+        let c = voc.constant("c");
+        assert_eq!(c, b, "ids are per-vocabulary");
+        assert_eq!(voc.const_name(c), "c");
+        assert_eq!(reader.const_name(b), "b");
     }
 
     #[test]

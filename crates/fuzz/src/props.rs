@@ -38,6 +38,7 @@ use bddfc_classes::{
 use bddfc_core::fxhash::FxHashMap;
 use bddfc_core::join::{with_join_mode, JoinMode};
 use bddfc_core::obs::Memory;
+use bddfc_core::satisfaction::satisfies_theory;
 use bddfc_core::{
     hom, par, Atom, Binding, ConjunctiveQuery, Fact, Instance, PredId, Program, Term, Theory,
     Ucq, Vocabulary,
@@ -541,9 +542,9 @@ fn rewrite_vs_chase(_case: &FuzzCase, prog: &Program, ctx: &PropCtx) -> PropResu
 /// first half, query) produces certain answers that agree with a
 /// from-scratch chase of the *folded base* — the mutation log replayed
 /// into a plain fact set — at every query point where both sides
-/// decided, and the whole-session transcript is byte-identical at 1, 2
-/// and 7 worker threads. The mutation runs on the resident (serve)
-/// side.
+/// decided, every epoch that reached a fixpoint satisfies the theory,
+/// and the whole-session transcript is byte-identical at 1, 2 and 7
+/// worker threads. The mutation runs on the resident (serve) side.
 fn serve_vs_scratch_chase(_case: &FuzzCase, prog: &Program, ctx: &PropCtx) -> PropResult {
     let mutated = ctx.mutation.apply(&prog.theory);
     // The case's own queries plus two-atom join probes — like
@@ -623,17 +624,35 @@ fn serve_vs_scratch_chase(_case: &FuzzCase, prog: &Program, ctx: &PropCtx) -> Pr
         oracle: false,
         ..ServeConfig::default()
     };
+    // Drives the script one command at a time so every epoch can be
+    // inspected: one that reached a fixpoint must be a model of the
+    // theory. A re-derivation that misses a re-fire fails here directly,
+    // whatever the queries probe. Returns the transcript and the first
+    // epoch that is not a model.
     let run = |threads: usize| {
         par::with_thread_count(threads, || {
             let server = Server::new(&serve_prog, config);
-            serve_transcript(&server, &script)
+            let mut transcript = String::new();
+            let mut not_a_model = None;
+            for line in script.lines() {
+                transcript.push_str(&serve_transcript(&server, line));
+                let epoch = server.snapshot();
+                if not_a_model.is_none()
+                    && epoch.complete
+                    && !satisfies_theory(&epoch.instance, &prog.theory)
+                {
+                    not_a_model = Some(epoch.id);
+                }
+            }
+            (transcript, not_a_model)
         })
     };
-    let transcript = run(1);
+    let (transcript, not_a_model) = run(1);
+    ensure_eq(not_a_model, None, "fixpoint epoch that does not satisfy the theory")?;
     for threads in [2usize, 7] {
         ensure_eq(
             transcript.clone(),
-            run(threads),
+            run(threads).0,
             &format!("serve transcript at {threads} threads"),
         )?;
     }

@@ -14,7 +14,7 @@
 //! successful insert commit seals the facts it appended as one more
 //! segment (the fact store is append-only, so a segment is a contiguous
 //! fact range and `segments` is a cumulative-length vector). A
-//! retraction rebuilds the store and reseals it as a single segment.
+//! retraction compacts the store and reseals it as a single segment.
 //! Readers can use the boundaries to attribute facts to commits; the
 //! `stats` protocol command reports the segment count.
 

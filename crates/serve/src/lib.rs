@@ -554,7 +554,7 @@ impl<'s, S: EventSink> Server<'s, S> {
         local.counter_add(names::ROUNDS, None, u64::from(out.rounds));
         local.counter_add(names::OVERDELETED, None, out.overdeleted as u64);
         local.counter_add(names::REDERIVED, None, out.new_facts as u64);
-        // A retraction rebuilds the fact store: reseal as one segment.
+        // A retraction compacts the fact store: reseal as one segment.
         w.segments = vec![w.inc.instance().len()];
         w.retracts += 1;
         self.commit(&mut w);
