@@ -74,9 +74,9 @@ cargo run -q --release -p bddfc-fuzz --bin bddfc-fuzz -- --replay tests/corpus
 echo "==> bddfc-fuzz --budget-ms 5000 (fresh-seed differential smoke)"
 cargo run -q --release -p bddfc-fuzz --bin bddfc-fuzz -- --seed 1 --budget-ms 5000
 
-echo "==> bddfc-fuzz join_kernel_vs_tuple_oracle (batch kernel vs tuple oracle)"
+echo "==> bddfc-fuzz chase_vs_reference (chase engine vs reference evaluator)"
 cargo run -q --release -p bddfc-fuzz --bin bddfc-fuzz -- \
-    --seed 1 --budget-ms 5000 --prop join_kernel_vs_tuple_oracle
+    --seed 1 --budget-ms 5000 --prop chase_vs_reference
 
 echo "==> bddfc-serve golden transcript (incremental service smoke)"
 cargo run -q --release -p bddfc-serve --bin bddfc-serve -- tests/serve/session.dlg \

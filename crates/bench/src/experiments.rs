@@ -491,7 +491,7 @@ fn e13() -> Vec<String> {
                 &db,
                 &theory,
                 &mut voc,
-                ChaseConfig { max_rounds: 4, max_facts: 2_000_000, variant, ..Default::default() },
+                ChaseConfig { max_rounds: 4, max_facts: 2_000_000, variant },
             );
             let dt = t0.elapsed();
             let per_s = (res.instance.len() as f64 / dt.as_secs_f64()) as u64;

@@ -644,16 +644,9 @@ mod tests {
         let tables = r.render_tables();
         assert!(tables.contains("chase/trigger by rule"), "{tables}");
         assert!(tables.contains("E(X,Y), E(Y,Z) -> E(X,Z)"), "{tables}");
-        // Batch mode (the default) attributes joins; tuple mode scans.
-        match bddfc_core::join::join_mode() {
-            bddfc_core::join::JoinMode::Batch => {
-                assert!(tables.contains("join/build by pred"), "{tables}");
-                assert!(tables.contains("join/probe by pred"), "{tables}");
-            }
-            bddfc_core::join::JoinMode::Tuple => {
-                assert!(tables.contains("hom/scan by pred"), "{tables}");
-            }
-        }
+        // The batched join kernel attributes its builds and probes.
+        assert!(tables.contains("join/build by pred"), "{tables}");
+        assert!(tables.contains("join/probe by pred"), "{tables}");
         // The folded output has the run/round span prefix.
         let folded = r.render_folded();
         assert!(folded.lines().all(|l| l.rsplit_once(' ').is_some()), "{folded}");

@@ -130,17 +130,16 @@ pub fn certain_ucq_outcome_with<S: EventSink>(
     }
     let run_span = if S::ENABLED { sink.span_open("chase", "run", 0, None) } else { 0 };
     let mut stepper =
-        ChaseStepper::with_sink(db, theory, config.variant, config.strategy, sink)
-            .under_span(run_span);
+        ChaseStepper::with_sink(db, theory, config.variant, sink).under_span(run_span);
     let mut certainty = Certainty::Unknown;
     // Unknown by default means the round budget ran dry — overwritten by
     // the fact-cap break below, cleared by any decision.
     let mut exhausted = Some(BudgetExhausted::Rounds);
     let mut rounds_run = 0;
     for round in 1..=config.max_rounds {
-        let new_facts = stepper.step(voc);
+        let start = stepper.step_indexed(voc);
         rounds_run = round;
-        if new_facts.is_empty() {
+        if stepper.instance.len() == start {
             certainty = Certainty::False;
             exhausted = None;
             break;

@@ -10,25 +10,29 @@
 //! regardless of existing witnesses) for the comparisons in Section 1.1's
 //! footnote and our benchmarks.
 //!
-//! ## Evaluation strategy
+//! ## Evaluation
 //!
 //! Round `i+1` can only contain a *violated* trigger whose body joins at
 //! least one fact created in round `i`: a trigger lying entirely in older
 //! facts was already enumerated in round `i` and either repaired (so its
 //! head is now witnessed) or skipped because a witness existed (and the
-//! chase never deletes facts, so it still exists). The default
-//! [`ChaseStrategy::SemiNaive`] exploits this by pinning each body atom to
-//! the previous round's delta in turn and completing the join against the
-//! full instance — the witness check (`head_satisfied`) always consults
-//! the full instance, so the paper's non-oblivious semantics is preserved
-//! *exactly*. [`ChaseStrategy::Naive`] re-derives every round from scratch
-//! and is kept as the differential-testing oracle; both strategies apply
-//! repairs in the same canonical order (rule index, then frontier tuple),
-//! so they produce identical instances, null names and depths round by
-//! round.
+//! chase never deletes facts, so it still exists). [`ChaseStepper`]
+//! exploits this semi-naively: it pins each body atom to the previous
+//! round's delta in turn and completes the join against the full
+//! instance with the batched join kernel. The witness check always
+//! consults the full instance, so the paper's non-oblivious semantics is
+//! preserved *exactly*, and repairs apply in a canonical order (rule
+//! index, then frontier tuple), so fresh-null names are reproducible.
+//!
+//! The stepper is the only round evaluator: [`chase`], the certain-answer
+//! loop, datalog saturation ([`crate::saturate`]), the traced chase
+//! ([`crate::trace`]) and incremental maintenance ([`crate::incremental`])
+//! all drive it. The naive reference evaluator that follows the paper's
+//! definition line by line lives in the `bddfc-fuzz` crate, which checks
+//! the stepper against it round by round.
 
 use bddfc_core::fxhash::{FxHashMap, FxHashSet};
-use bddfc_core::join::{self, JoinMode};
+use bddfc_core::join;
 use bddfc_core::obs::{Event, EventSink, Null, SpanTimer, NULL};
 use bddfc_core::par;
 use bddfc_core::{
@@ -48,19 +52,6 @@ pub enum ChaseVariant {
     Oblivious,
 }
 
-/// How each round's triggers are enumerated. Both strategies compute the
-/// same rounds; they differ only in work done (see the module docs).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum ChaseStrategy {
-    /// Only enumerate body matches that join at least one fact from the
-    /// previous round's delta.
-    #[default]
-    SemiNaive,
-    /// Re-enumerate every body match against the whole instance, every
-    /// round. The differential-testing oracle.
-    Naive,
-}
-
 /// Resource limits for a chase run. The chase of a Datalog∃ program need
 /// not terminate (Example 1), so every entry point takes a budget.
 #[derive(Clone, Copy, Debug)]
@@ -71,8 +62,6 @@ pub struct ChaseConfig {
     pub max_facts: usize,
     /// Chase variant.
     pub variant: ChaseVariant,
-    /// Trigger enumeration strategy.
-    pub strategy: ChaseStrategy,
 }
 
 impl Default for ChaseConfig {
@@ -81,7 +70,6 @@ impl Default for ChaseConfig {
             max_rounds: 64,
             max_facts: 1_000_000,
             variant: ChaseVariant::Restricted,
-            strategy: ChaseStrategy::SemiNaive,
         }
     }
 }
@@ -95,12 +83,6 @@ impl ChaseConfig {
     /// Sets the variant.
     pub fn with_variant(mut self, v: ChaseVariant) -> Self {
         self.variant = v;
-        self
-    }
-
-    /// Sets the evaluation strategy.
-    pub fn with_strategy(mut self, s: ChaseStrategy) -> Self {
-        self.strategy = s;
         self
     }
 
@@ -122,8 +104,8 @@ pub enum ChaseStatus {
     FactBudget,
 }
 
-/// Work counters for a chase run — the trigger counter the benchmarks
-/// compare across strategies.
+/// Work counters for a chase run — the body-match counter the
+/// semi-naive work-ratio checks compare against the reference evaluator.
 ///
 /// **Deprecation note:** these ad-hoc fields predate the unified
 /// telemetry layer and are subsumed by the per-round `chase`/`round`
@@ -256,9 +238,9 @@ fn key_of_row(batch: &join::BindingBatch, slots: &[usize], row: usize) -> Key {
     }
 }
 
-/// Extracts the frontier key of a full body binding (tuple engine).
-/// Packs exactly like [`key_of_row`] so both engines dedup, fire and
-/// sort on identical keys.
+/// Extracts the frontier key of a full body binding (the seeded
+/// re-opened round). Packs exactly like [`key_of_row`] so both
+/// collectors dedup, fire and sort on identical keys.
 #[inline]
 fn key_of_binding(frontier: &[VarId], b: &Binding) -> Key {
     match frontier {
@@ -523,12 +505,6 @@ impl RuleTemplate {
 
 }
 
-/// Opaque set of `(rule, frontier key)` triggers that already fired,
-/// threaded between successive [`chase_round`] calls (the oblivious
-/// chase fires every trigger exactly once across the whole run).
-#[derive(Default)]
-pub struct FiredSet(FxHashSet<(usize, Key)>);
-
 /// Per-rule attribution counters for one round, filled only when a
 /// recording sink is installed (`S::ENABLED`); each becomes one
 /// `chase`/`trigger` event keyed by rule index.
@@ -559,11 +535,8 @@ struct RoundWork {
     /// Per-rule attribution, indexed by rule; **empty** when telemetry
     /// is disabled (the collectors size it iff `S::ENABLED`).
     rule_work: Vec<RuleWork>,
-    /// Per-predicate hom candidate-scan attribution (empty when
-    /// telemetry is disabled; tuple engine only).
-    scans: hom::ScanStats,
     /// Per-predicate join build/probe attribution (empty when telemetry
-    /// is disabled; batch engine only).
+    /// is disabled).
     joins: join::JoinStats,
 }
 
@@ -669,147 +642,6 @@ fn sorted_frontier(rule: &Rule) -> Vec<VarId> {
     frontier
 }
 
-/// Enumerates one rule's body homomorphisms over the whole instance,
-/// deduplicating by frontier key. Read-only: safe as a parallel work
-/// item. When `scans` is given, candidate-list walks are charged to
-/// their predicates for `hom/scan` attribution.
-fn enumerate_rule_naive(
-    inst: &Instance,
-    theory: &Theory,
-    rule_idx: usize,
-    frontier: &[VarId],
-    scans: Option<&mut hom::ScanStats>,
-) -> (Vec<Candidate>, u64) {
-    let rule = &theory.rules[rule_idx];
-    let mut seen: FxHashSet<Key> = FxHashSet::default();
-    let mut out = Vec::new();
-    let mut matches = 0u64;
-    let mut visit = |b: &Binding| {
-        matches += 1;
-        let key = key_of_binding(frontier, b);
-        if seen.insert(key.clone()) {
-            out.push(Candidate { rule_idx, key });
-        }
-        ControlFlow::Continue(())
-    };
-    let _ = match scans {
-        Some(s) => {
-            hom::for_each_hom_scanned(inst, &rule.body, &Binding::default(), s, &mut visit)
-        }
-        None => hom::for_each_hom(inst, &rule.body, &Binding::default(), &mut visit),
-    };
-    (out, matches)
-}
-
-/// Enumerates one rule's body over the columnar store with the batched
-/// join kernel, deduplicating by frontier key. The batch's rows are in
-/// 1:1 correspondence with the body's homomorphisms (facts are
-/// deduplicated, so a ground body atom under an assignment is exactly one
-/// relation row), so the returned match count equals the tuple engine's
-/// exactly; the candidate *set* is also equal because the restricted
-/// binding is a pure function of the frontier key.
-fn enumerate_rule_batch(
-    inst: &Instance,
-    theory: &Theory,
-    rule_idx: usize,
-    frontier: &[VarId],
-    joins: Option<&mut join::JoinStats>,
-    priors: Option<&join::Priors>,
-) -> (Vec<Candidate>, u64) {
-    let rule = &theory.rules[rule_idx];
-    let batch = join::eval_body_with_priors(inst.columnar(), &rule.body, None, joins, priors);
-    let matches = batch.rows() as u64;
-    if batch.rows() == 0 {
-        return (Vec::new(), 0);
-    }
-    // A non-empty batch binds every body variable, so every frontier
-    // variable has a schema slot (body-less rules have empty frontiers).
-    let slots: Vec<usize> = frontier
-        .iter()
-        .map(|&v| batch.col_of(v).expect("frontier variable bound by body"))
-        .collect();
-    let mut seen: FxHashSet<Key> = FxHashSet::default();
-    let mut out = Vec::new();
-    for row in 0..batch.rows() {
-        let key = key_of_row(&batch, &slots, row);
-        if seen.insert(key.clone()) {
-            out.push(Candidate { rule_idx, key });
-        }
-    }
-    (out, matches)
-}
-
-/// Collects this round's repairs against the *frozen* instance by full
-/// re-enumeration, per the simultaneous semantics of `Chase¹`. Rules are
-/// independent work items and enumerate in parallel; admission runs on
-/// the merged candidate list. Generic over the sink *type* only: with
-/// `S::ENABLED == false` (the `Null` sink) every attribution branch is
-/// statically eliminated and the kernel is the PR-3 one.
-///
-/// The join mode ([`join::join_mode`]) is resolved here, on the calling
-/// thread, *before* the parallel region — thread-local overrides do not
-/// propagate into `par` workers.
-fn collect_repairs_naive<S: EventSink>(
-    inst: &Instance,
-    theory: &Theory,
-    templates: &[RuleTemplate],
-    variant: ChaseVariant,
-    fired: &mut FxHashSet<(usize, Key)>,
-    priors: Option<&join::Priors>,
-    work: &mut RoundWork,
-) -> Vec<Repair> {
-    if S::ENABLED && work.rule_work.is_empty() {
-        work.rule_work = vec![RuleWork::default(); theory.rules.len()];
-    }
-    let mode = join::join_mode();
-    let per_rule: Vec<(Vec<Candidate>, u64, u64, hom::ScanStats, join::JoinStats)> =
-        par::par_chunks(theory.rules.len(), |range| {
-            range
-                .map(|rule_idx| match (mode, S::ENABLED) {
-                    (JoinMode::Batch, true) => {
-                        let timer = SpanTimer::start();
-                        let mut joins = join::JoinStats::default();
-                        let (c, m) =
-                            enumerate_rule_batch(inst, theory, rule_idx, &templates[rule_idx].frontier, Some(&mut joins), priors);
-                        (c, m, timer.elapsed_ns(), hom::ScanStats::default(), joins)
-                    }
-                    (JoinMode::Batch, false) => {
-                        let (c, m) = enumerate_rule_batch(inst, theory, rule_idx, &templates[rule_idx].frontier, None, priors);
-                        (c, m, 0, hom::ScanStats::default(), join::JoinStats::default())
-                    }
-                    (JoinMode::Tuple, true) => {
-                        let timer = SpanTimer::start();
-                        let mut scans = hom::ScanStats::default();
-                        let (c, m) =
-                            enumerate_rule_naive(inst, theory, rule_idx, &templates[rule_idx].frontier, Some(&mut scans));
-                        (c, m, timer.elapsed_ns(), scans, join::JoinStats::default())
-                    }
-                    (JoinMode::Tuple, false) => {
-                        let (c, m) = enumerate_rule_naive(inst, theory, rule_idx, &templates[rule_idx].frontier, None);
-                        (c, m, 0, hom::ScanStats::default(), join::JoinStats::default())
-                    }
-                })
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-    let mut cands = Vec::new();
-    for (rule_idx, (rule_cands, matches, enum_ns, scans, joins)) in
-        per_rule.into_iter().enumerate()
-    {
-        work.body_matches += matches;
-        if S::ENABLED {
-            work.rule_work[rule_idx].body_matches += matches;
-            work.rule_work[rule_idx].enum_ns += enum_ns;
-            work.scans.merge(&scans);
-            work.joins.merge(&joins);
-        }
-        cands.extend(rule_cands);
-    }
-    admit_candidates(inst, theory, templates, variant, fired, cands, work)
-}
-
 /// Attempts to bind `atom` against the ground `fact`; returns the binding
 /// of the atom's variables, or `None` on clash.
 fn bind_atom(atom: &bddfc_core::Atom, fact: &Fact) -> Option<Binding> {
@@ -895,188 +727,25 @@ fn collect_repairs_reopened<S: EventSink>(
 
 /// Collects this round's repairs semi-naively: only body matches that use
 /// at least one fact of `delta` (the previous round's new facts) are
-/// enumerated, by pinning each body atom to delta facts in turn and
-/// completing the join against the full frozen instance. Witness checks
-/// also consult the full instance. `first_round` makes body-less rules
-/// (which join nothing) fire on the opening round.
-fn collect_repairs_seminaive<S: EventSink>(
-    inst: &Instance,
-    theory: &Theory,
-    templates: &[RuleTemplate],
-    variant: ChaseVariant,
-    fired: &mut FxHashSet<(usize, Key)>,
-    delta: &[Fact],
-    first_round: bool,
-    priors: Option<&join::Priors>,
-    work: &mut RoundWork,
-) -> Vec<Repair> {
-    // Resolved on the calling thread (thread-local overrides do not cross
-    // into `par` workers).
-    if join::join_mode() == JoinMode::Batch {
-        return collect_repairs_seminaive_batch::<S>(
-            inst,
-            theory,
-            templates,
-            variant,
-            fired,
-            delta,
-            first_round,
-            priors,
-            work,
-        );
-    }
-    // The tuple engine orders atoms inside the homomorphism search
-    // itself; priors only steer the batch planner.
-    let _ = priors;
-    if S::ENABLED && work.rule_work.is_empty() {
-        work.rule_work = vec![RuleWork::default(); theory.rules.len()];
-    }
-    let mut delta_by_pred: FxHashMap<PredId, Vec<&Fact>> = FxHashMap::default();
-    for f in delta {
-        delta_by_pred.entry(f.pred).or_default().push(f);
-    }
-    // A `(rule, pinned atom, delta fact)` join is an independent, read-only
-    // work item. Flatten them in the canonical (rule, pin, delta-order)
-    // nesting so the merged candidate stream is the sequential one.
-    struct Work<'a> {
-        rule_idx: usize,
-        pin: usize,
-        dfact: &'a Fact,
-    }
-    // Per-shard attribution (rule wall/matches + predicate scans),
-    // merged sequentially; `None` when telemetry is disabled.
-    struct ShardAttr {
-        rule_matches: Vec<u64>,
-        rule_ns: Vec<u64>,
-        scans: hom::ScanStats,
-    }
-    let mut cands: Vec<Candidate> = Vec::new();
-    let mut items: Vec<Work> = Vec::new();
-    for (rule_idx, rule) in theory.rules.iter().enumerate() {
-        if rule.body.is_empty() {
-            // A body-less rule has the single empty trigger; it cannot join
-            // a delta, so it is only ever *new* on the opening round.
-            if first_round {
-                work.body_matches += 1;
-                if S::ENABLED {
-                    work.rule_work[rule_idx].body_matches += 1;
-                }
-                cands.push(Candidate { rule_idx, key: Key::Packed(0) });
-            }
-            continue;
-        }
-        for pin in 0..rule.body.len() {
-            let Some(dfacts) = delta_by_pred.get(&rule.body[pin].pred) else { continue };
-            items.extend(dfacts.iter().map(|&dfact| Work { rule_idx, pin, dfact }));
-        }
-    }
-    // The pinned atom's residual body, per (rule, pin), shared read-only
-    // across shards.
-    let rests: Vec<Vec<Vec<bddfc_core::Atom>>> = theory
-        .rules
-        .iter()
-        .map(|rule| {
-            (0..rule.body.len())
-                .map(|pin| {
-                    rule.body
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| *i != pin)
-                        .map(|(_, a)| a.clone())
-                        .collect()
-                })
-                .collect()
-        })
-        .collect();
-    // Phase 1 (parallel): complete each pinned join against the frozen
-    // instance; every shard emits candidates in work-list order.
-    let shard_out: Vec<(Vec<Candidate>, u64, Option<ShardAttr>)> =
-        par::par_chunks(items.len(), |range| {
-            let mut out = Vec::new();
-            let mut matches = 0u64;
-            let mut attr = if S::ENABLED {
-                Some(ShardAttr {
-                    rule_matches: vec![0; theory.rules.len()],
-                    rule_ns: vec![0; theory.rules.len()],
-                    scans: hom::ScanStats::default(),
-                })
-            } else {
-                None
-            };
-            for w in &items[range] {
-                let rule = &theory.rules[w.rule_idx];
-                let Some(binding) = bind_atom(&rule.body[w.pin], w.dfact) else { continue };
-                let frontier = &templates[w.rule_idx].frontier;
-                let before = matches;
-                let mut visit = |b: &Binding| {
-                    matches += 1;
-                    let key = key_of_binding(frontier, b);
-                    out.push(Candidate { rule_idx: w.rule_idx, key });
-                    ControlFlow::Continue(())
-                };
-                match attr.as_mut() {
-                    Some(a) => {
-                        let timer = SpanTimer::start();
-                        let _ = hom::for_each_hom_scanned(
-                            inst,
-                            &rests[w.rule_idx][w.pin],
-                            &binding,
-                            &mut a.scans,
-                            &mut visit,
-                        );
-                        a.rule_ns[w.rule_idx] += timer.elapsed_ns();
-                        a.rule_matches[w.rule_idx] += matches - before;
-                    }
-                    None => {
-                        let _ = hom::for_each_hom(
-                            inst,
-                            &rests[w.rule_idx][w.pin],
-                            &binding,
-                            &mut visit,
-                        );
-                    }
-                }
-            }
-            (out, matches, attr)
-        });
-    // Phase 2 (sequential): merge in input order, dedup per (rule, key) —
-    // first occurrence wins, and its restricted binding is determined by
-    // the key, so the surviving set is shard-split-independent.
-    let mut seen: FxHashSet<(usize, Key)> = FxHashSet::default();
-    for (shard, matches, attr) in shard_out {
-        work.body_matches += matches;
-        if let Some(a) = attr {
-            for (rw, (&m, &ns)) in
-                work.rule_work.iter_mut().zip(a.rule_matches.iter().zip(&a.rule_ns))
-            {
-                rw.body_matches += m;
-                rw.enum_ns += ns;
-            }
-            work.scans.merge(&a.scans);
-        }
-        for c in shard {
-            if seen.insert((c.rule_idx, c.key.clone())) {
-                cands.push(c);
-            }
-        }
-    }
-    admit_candidates(inst, theory, templates, variant, fired, cands, work)
-}
-
-/// The batched-kernel counterpart of [`collect_repairs_seminaive`]: the
-/// same `(rule, pinned atom)` decomposition, but each pinned atom joins
-/// its *whole* delta segment in one kernel call instead of one call per
-/// delta fact. The delta exploits the append-only columnar layout:
-/// between rounds nothing but the round's new facts is inserted, so the
-/// delta facts of predicate `p` are exactly the last `delta_count(p)`
-/// rows of `p`'s relation — a contiguous tail segment, no copying.
+/// enumerated, by pinning each body atom to the delta in turn and
+/// completing the join against the full frozen instance with the batched
+/// join kernel. Witness checks also consult the full instance.
+/// `first_round` makes body-less rules (which join nothing) fire on the
+/// opening round.
+///
+/// Each `(rule, pinned atom)` work item joins its *whole* delta segment
+/// in one kernel call. The delta exploits the append-only columnar
+/// layout: between rounds nothing but the round's new facts is inserted,
+/// so the delta facts of predicate `p` are exactly the last
+/// `delta_count(p)` rows of `p`'s relation — a contiguous tail segment,
+/// no copying. A body match using `k` delta facts is found once per
+/// pinned atom, so it counts `k` times in `body_matches`.
 ///
 /// Candidates carry `(rule, key)` only out of the parallel phase; the
-/// frontier-restricted binding is a pure function of the key and is
-/// materialized after global first-occurrence dedup, so the surviving
-/// candidate set (and everything downstream) is identical to the tuple
-/// path's at any shard split.
-fn collect_repairs_seminaive_batch<S: EventSink>(
+/// frontier-restricted binding is a pure function of the key, so after
+/// global first-occurrence dedup the surviving candidate set (and
+/// everything downstream) is identical at any shard split.
+fn collect_repairs_seminaive<S: EventSink>(
     inst: &Instance,
     theory: &Theory,
     templates: &[RuleTemplate],
@@ -1104,8 +773,8 @@ fn collect_repairs_seminaive_batch<S: EventSink>(
     let mut items: Vec<BatchWork> = Vec::new();
     for (rule_idx, rule) in theory.rules.iter().enumerate() {
         if rule.body.is_empty() {
-            // Same as the tuple path: the single empty trigger is only
-            // ever new on the opening round.
+            // A body-less rule has the single empty trigger; it cannot
+            // join a delta, so it is only ever *new* on the opening round.
             if first_round {
                 work.body_matches += 1;
                 if S::ENABLED {
@@ -1211,8 +880,8 @@ fn collect_repairs_seminaive_batch<S: EventSink>(
 }
 
 /// Applies repairs in the canonical `(rule, frontier tuple)` order — the
-/// order both strategies share, so fresh-null naming is reproducible and
-/// strategy-independent. Head atoms ground straight from each repair's
+/// order the reference evaluator shares, so fresh-null naming is
+/// reproducible. Head atoms ground straight from each repair's
 /// key through the rule's [`RuleTemplate`] (fresh nulls created in
 /// sorted-existential order, as before) into a reused scratch buffer, so
 /// the only allocations are the genuinely new facts. Returns the
@@ -1259,32 +928,6 @@ fn apply_repairs(
     (start, nulls_created)
 }
 
-/// Runs one naive `Chase¹` round: one simultaneous round, enumerated
-/// against the whole instance. Returns the new facts; the instance is
-/// mutated in place. This is the one-shot oracle API — budgeted runs
-/// should go through [`chase`] or [`ChaseStepper`].
-pub fn chase_round(
-    inst: &mut Instance,
-    theory: &Theory,
-    voc: &mut Vocabulary,
-    variant: ChaseVariant,
-    fired: &mut FiredSet,
-) -> Vec<Fact> {
-    let mut work = RoundWork::default();
-    let templates: Vec<RuleTemplate> = theory.rules.iter().map(RuleTemplate::new).collect();
-    let repairs = collect_repairs_naive::<Null>(
-        inst,
-        theory,
-        &templates,
-        variant,
-        &mut fired.0,
-        None,
-        &mut work,
-    );
-    let (start, _) = apply_repairs(inst, &templates, voc, repairs, None);
-    inst.facts()[start..].to_vec()
-}
-
 /// How one derived fact was obtained, by fact index: the rule that fired
 /// and the grounded body of the homomorphism that witnessed the trigger
 /// (see [`ChaseStepper::step_traced`]).
@@ -1312,7 +955,6 @@ pub struct ChaseStepper<'t, S: EventSink = Null> {
     /// The instance chased so far.
     pub instance: Instance,
     variant: ChaseVariant,
-    strategy: ChaseStrategy,
     fired: FxHashSet<(usize, Key)>,
     /// Per-rule key templates, compiled once from the theory.
     templates: Vec<RuleTemplate>,
@@ -1332,13 +974,8 @@ pub struct ChaseStepper<'t, S: EventSink = Null> {
 
 impl<'t> ChaseStepper<'t, Null> {
     /// Starts a chase of `db` under `theory` with telemetry disabled.
-    pub fn new(
-        db: &Instance,
-        theory: &'t Theory,
-        variant: ChaseVariant,
-        strategy: ChaseStrategy,
-    ) -> Self {
-        ChaseStepper::with_sink(db, theory, variant, strategy, &NULL)
+    pub fn new(db: &Instance, theory: &'t Theory, variant: ChaseVariant) -> Self {
+        ChaseStepper::with_sink(db, theory, variant, &NULL)
     }
 }
 
@@ -1349,7 +986,6 @@ impl<'t, S: EventSink> ChaseStepper<'t, S> {
         db: &Instance,
         theory: &'t Theory,
         variant: ChaseVariant,
-        strategy: ChaseStrategy,
         sink: &'t S,
     ) -> Self {
         ChaseStepper {
@@ -1357,7 +993,6 @@ impl<'t, S: EventSink> ChaseStepper<'t, S> {
             templates: theory.rules.iter().map(RuleTemplate::new).collect(),
             instance: db.clone(),
             variant,
-            strategy,
             fired: FxHashSet::default(),
             delta: 0..db.len(),
             first_round: true,
@@ -1387,7 +1022,6 @@ impl<'t, S: EventSink> ChaseStepper<'t, S> {
         instance: Instance,
         theory: &'t Theory,
         variant: ChaseVariant,
-        strategy: ChaseStrategy,
         sink: &'t S,
         delta: Range<usize>,
     ) -> Self {
@@ -1397,7 +1031,6 @@ impl<'t, S: EventSink> ChaseStepper<'t, S> {
             templates: theory.rules.iter().map(RuleTemplate::new).collect(),
             instance,
             variant,
-            strategy,
             fired: FxHashSet::default(),
             delta,
             first_round: false,
@@ -1452,11 +1085,9 @@ impl<'t, S: EventSink> ChaseStepper<'t, S> {
     ///
     /// With a recording sink, each round opens a `chase`/`round` span
     /// (keyed by round number) under which it emits one `chase`/`trigger`
-    /// event per active rule (keyed by rule index), one `hom`/`scan`
-    /// event per scanned predicate (keyed by predicate id; tuple join
-    /// mode), one `join`/`build` + `join`/`probe` event per joined
-    /// predicate (keyed by predicate id; batch join mode) and the round
-    /// summary event.
+    /// event per active rule (keyed by rule index), one `join`/`build` +
+    /// `join`/`probe` event per joined predicate (keyed by predicate id)
+    /// and the round summary event.
     pub fn step(&mut self, voc: &mut Vocabulary) -> Vec<Fact> {
         let start = self.step_indexed(voc);
         self.instance.facts()[start..].to_vec()
@@ -1551,28 +1182,17 @@ impl<'t, S: EventSink> ChaseStepper<'t, S> {
         let timer = SpanTimer::start();
         let round_span = self.open_round_span();
         let mut work = RoundWork::default();
-        let repairs = match self.strategy {
-            ChaseStrategy::Naive => collect_repairs_naive::<S>(
-                &self.instance,
-                self.theory,
-                &self.templates,
-                self.variant,
-                &mut self.fired,
-                self.priors.as_ref(),
-                &mut work,
-            ),
-            ChaseStrategy::SemiNaive => collect_repairs_seminaive::<S>(
-                &self.instance,
-                self.theory,
-                &self.templates,
-                self.variant,
-                &mut self.fired,
-                &self.instance.facts()[self.delta.clone()],
-                self.first_round,
-                self.priors.as_ref(),
-                &mut work,
-            ),
-        };
+        let repairs = collect_repairs_seminaive::<S>(
+            &self.instance,
+            self.theory,
+            &self.templates,
+            self.variant,
+            &mut self.fired,
+            &self.instance.facts()[self.delta.clone()],
+            self.first_round,
+            self.priors.as_ref(),
+            &mut work,
+        );
         self.finish_round(voc, timer, round_span, work, repairs, traced)
     }
 
@@ -1663,16 +1283,6 @@ impl<'t, S: EventSink> ChaseStepper<'t, S> {
                         ("triggers_fired", rw.triggers_fired),
                     ],
                     gauges: &[("wall_ns", rw.enum_ns)],
-                });
-            }
-            for (pred, scans, candidates) in work.scans.sorted() {
-                self.sink.record(Event {
-                    engine: "hom",
-                    name: "scan",
-                    parent: round_span,
-                    key: Some(("pred", u64::from(pred.0))),
-                    fields: &[("scans", scans), ("candidates", candidates)],
-                    gauges: &[],
                 });
             }
             for (pred, c) in work.joins.sorted() {
@@ -1783,8 +1393,7 @@ pub fn chase_with_priors<S: EventSink>(
         }
     }
     let mut stepper =
-        ChaseStepper::with_sink(db, theory, config.variant, config.strategy, sink)
-            .under_span(run_span);
+        ChaseStepper::with_sink(db, theory, config.variant, sink).under_span(run_span);
     if let Some(p) = priors {
         stepper = stepper.with_priors(p);
     }
@@ -1845,28 +1454,17 @@ pub fn chase_uninstrumented_baseline(
             break;
         }
         let mut work = RoundWork::default();
-        let repairs = match config.strategy {
-            ChaseStrategy::Naive => collect_repairs_naive::<Null>(
-                &inst,
-                theory,
-                &templates,
-                config.variant,
-                &mut fired,
-                None,
-                &mut work,
-            ),
-            ChaseStrategy::SemiNaive => collect_repairs_seminaive::<Null>(
-                &inst,
-                theory,
-                &templates,
-                config.variant,
-                &mut fired,
-                &inst.facts()[delta.clone()],
-                first_round,
-                None,
-                &mut work,
-            ),
-        };
+        let repairs = collect_repairs_seminaive::<Null>(
+            &inst,
+            theory,
+            &templates,
+            config.variant,
+            &mut fired,
+            &inst.facts()[delta.clone()],
+            first_round,
+            None,
+            &mut work,
+        );
         first_round = false;
         let (start, _nulls) = apply_repairs(&mut inst, &templates, voc, repairs, None);
         delta = start..inst.len();
@@ -2033,107 +1631,6 @@ mod tests {
         assert_eq!(w1, w2);
     }
 
-    /// Both strategies, both variants: same instance, same null names,
-    /// same depths — the in-crate smoke version of tests/differential.rs.
-    #[test]
-    fn naive_and_seminaive_agree_exactly() {
-        let src = "E(X,Y) -> exists Z . E(Y,Z).
-                   E(X,Y), E(Y,Z) -> E(X,Z).
-                   E(X,Y), E(Y,Z), E(Z,X) -> exists T . U(X,T).
-                   E(a,b). E(b,c). E(c,a).";
-        for variant in [ChaseVariant::Restricted, ChaseVariant::Oblivious] {
-            let prog = parse_program(src).unwrap();
-            let mut voc_n = prog.voc.clone();
-            let naive = chase(
-                &prog.instance,
-                &prog.theory,
-                &mut voc_n,
-                ChaseConfig::rounds(5).with_variant(variant).with_strategy(ChaseStrategy::Naive),
-            );
-            let mut voc_s = prog.voc.clone();
-            let semi = chase(
-                &prog.instance,
-                &prog.theory,
-                &mut voc_s,
-                ChaseConfig::rounds(5)
-                    .with_variant(variant)
-                    .with_strategy(ChaseStrategy::SemiNaive),
-            );
-            assert_eq!(naive.instance, semi.instance, "{variant:?}");
-            assert_eq!(naive.depth_map(), semi.depth_map(), "{variant:?}");
-            assert_eq!(naive.rounds, semi.rounds, "{variant:?}");
-            assert_eq!(naive.status, semi.status, "{variant:?}");
-        }
-    }
-
-    /// The batch kernel is a drop-in for the tuple engine: same instance,
-    /// same null names, same depths, same ChaseStats — under every
-    /// strategy × variant combination.
-    #[test]
-    fn batch_and_tuple_engines_agree_exactly() {
-        let src = "E(X,Y) -> exists Z . E(Y,Z).
-                   E(X,Y), E(Y,Z) -> R(X,Z).
-                   E(X,Y), E(Y,Z), E(Z,X) -> exists T . U(X,T).
-                   U(X,T), E(X,Y) -> U(Y,T).
-                   E(a,b). E(b,c). E(c,a). E(c,c).";
-        let prog = parse_program(src).unwrap();
-        for variant in [ChaseVariant::Restricted, ChaseVariant::Oblivious] {
-            for strategy in [ChaseStrategy::SemiNaive, ChaseStrategy::Naive] {
-                let config =
-                    ChaseConfig::rounds(5).with_variant(variant).with_strategy(strategy);
-                let run = |mode| {
-                    join::with_join_mode(mode, || {
-                        let mut voc = prog.voc.clone();
-                        chase(&prog.instance, &prog.theory, &mut voc, config)
-                    })
-                };
-                let tuple = run(JoinMode::Tuple);
-                let batch = run(JoinMode::Batch);
-                assert_eq!(tuple.instance, batch.instance, "{variant:?} {strategy:?}");
-                assert_eq!(tuple.depth_map(), batch.depth_map(), "{variant:?} {strategy:?}");
-                assert_eq!(tuple.status, batch.status, "{variant:?} {strategy:?}");
-                // Row-combos and homomorphisms are 1:1, so even the
-                // work counters agree exactly (wall times excluded).
-                assert_eq!(
-                    tuple.stats.body_matches_per_round,
-                    batch.stats.body_matches_per_round,
-                    "{variant:?} {strategy:?}"
-                );
-            }
-        }
-    }
-
-    /// The point of semi-naive evaluation: on transitive closure of the
-    /// Example 1 chain, re-deriving every round from scratch does at least
-    /// twice the body-match work.
-    #[test]
-    fn seminaive_does_less_work_on_transitive_closure() {
-        let n = 24;
-        let mut src = String::from("E(X,Y), E(Y,Z) -> E(X,Z).\n");
-        for i in 0..n {
-            src.push_str(&format!("E(a{i},a{}).\n", i + 1));
-        }
-        let prog = parse_program(&src).unwrap();
-        let run = |strategy| {
-            let mut voc = prog.voc.clone();
-            chase(
-                &prog.instance,
-                &prog.theory,
-                &mut voc,
-                ChaseConfig::default().with_strategy(strategy),
-            )
-        };
-        let naive = run(ChaseStrategy::Naive);
-        let semi = run(ChaseStrategy::SemiNaive);
-        assert_eq!(naive.instance, semi.instance);
-        let (n_work, s_work) =
-            (naive.stats.total_body_matches(), semi.stats.total_body_matches());
-        assert!(
-            n_work >= 2 * s_work,
-            "expected ≥2× savings, got naive = {n_work}, semi-naive = {s_work}"
-        );
-    }
-
     #[test]
     fn stats_record_one_entry_per_enumeration_round() {
         let prog = parse_program("E(X,Y) -> exists Z . E(Y,Z). E(a,b).").unwrap();
@@ -2148,14 +1645,10 @@ mod tests {
     fn chase_with_memory_sink_counts_rounds_and_matches_null_run() {
         use bddfc_core::obs::Memory;
         let prog = parse_program("E(X,Y) -> exists Z . E(Y,Z). E(a,b).").unwrap();
-        // Pin the batch kernel so the expected event schema is stable
-        // whatever the ambient BDDFC_JOIN; the tuple engine's events are
-        // pinned separately below.
         let sink = Memory::new(64);
         let mut voc1 = prog.voc.clone();
-        let observed = join::with_join_mode(JoinMode::Batch, || {
-            chase_with(&prog.instance, &prog.theory, &mut voc1, ChaseConfig::rounds(4), &sink)
-        });
+        let observed =
+            chase_with(&prog.instance, &prog.theory, &mut voc1, ChaseConfig::rounds(4), &sink);
         let mut voc2 = prog.voc.clone();
         let plain = chase(&prog.instance, &prog.theory, &mut voc2, ChaseConfig::rounds(4));
         // Attaching a sink never changes the output.
@@ -2173,25 +1666,6 @@ mod tests {
             ]
         );
         assert_eq!(sink.counter("join", "probe", "matches"), 4);
-        // The tuple oracle emits hom-engine telemetry instead (the
-        // single-atom body joins against an empty residual, so no
-        // hom/scan events here).
-        let tuple_sink = Memory::new(64);
-        let mut voc3 = prog.voc.clone();
-        let tuple_run = join::with_join_mode(JoinMode::Tuple, || {
-            chase_with(
-                &prog.instance,
-                &prog.theory,
-                &mut voc3,
-                ChaseConfig::rounds(4),
-                &tuple_sink,
-            )
-        });
-        assert_eq!(tuple_run.instance, plain.instance);
-        assert_eq!(
-            tuple_sink.event_counts(),
-            vec![(("chase", "round"), 4), (("chase", "trigger"), 4)]
-        );
         assert_eq!(sink.counter("chase", "round", "new_facts"), 4);
         assert_eq!(sink.counter("chase", "round", "nulls_created"), 4);
         assert_eq!(
@@ -2259,12 +1733,8 @@ mod tests {
         )
         .unwrap();
         let mut voc1 = prog.voc.clone();
-        let mut stepper = ChaseStepper::new(
-            &prog.instance,
-            &prog.theory,
-            ChaseVariant::Restricted,
-            ChaseStrategy::SemiNaive,
-        );
+        let mut stepper =
+            ChaseStepper::new(&prog.instance, &prog.theory, ChaseVariant::Restricted);
         for _ in 0..6 {
             stepper.step(&mut voc1);
         }

@@ -53,7 +53,7 @@
 //! resumption would need the fired set carried across mutations).
 
 use crate::answers::BudgetExhausted;
-use crate::engine::{ChaseStepper, ChaseStrategy, ChaseVariant, Support};
+use crate::engine::{ChaseStepper, ChaseVariant, Support};
 use crate::trace::{derivation_tree, DerivationTree};
 use bddfc_core::fxhash::FxHashSet;
 use bddfc_core::obs::{EventSink, NULL};
@@ -393,14 +393,8 @@ impl IncrementalChase {
         }
         let instance = std::mem::replace(&mut self.instance, Instance::new());
         let delta = self.delta_start..instance.len();
-        let mut stepper = ChaseStepper::resume(
-            instance,
-            &self.theory,
-            ChaseVariant::Restricted,
-            ChaseStrategy::SemiNaive,
-            sink,
-            delta,
-        );
+        let mut stepper =
+            ChaseStepper::resume(instance, &self.theory, ChaseVariant::Restricted, sink, delta);
         if let Some(p) = &self.priors {
             stepper = stepper.with_priors(p.clone());
         }

@@ -5,8 +5,8 @@
 //! * the non-oblivious (restricted) chase `Chase¹ / Chaseᵏ / Chase`, with
 //!   per-fact derivation depths ([`engine`]);
 //! * an oblivious variant for comparison ([`engine`]);
-//! * semi-naive saturation under the datalog rules only ([`saturate`]) —
-//!   the step Lemma 5 justifies in the finite-model pipeline;
+//! * saturation under the datalog rules only ([`saturate`]) — the step
+//!   Lemma 5 justifies in the finite-model pipeline;
 //! * chase-based certain answers and derivation-depth probing
 //!   ([`answers`]);
 //! * a complete bounded-size finite model finder ([`finder`]) used to
@@ -27,11 +27,9 @@ pub use answers::{
 };
 pub use incremental::{IncrementalChase, MaintainConfig, MaintainOutcome};
 pub use engine::{
-    chase, chase_k, chase_round, chase_with, chase_with_priors, ChaseConfig, ChaseResult,
-    ChaseStats, ChaseStatus, ChaseStepper, ChaseStrategy, ChaseVariant, FiredSet, Support,
+    chase, chase_k, chase_with, chase_with_priors, ChaseConfig, ChaseResult, ChaseStats,
+    ChaseStatus, ChaseStepper, ChaseVariant, Support,
 };
 pub use finder::{countermodel, find_model, find_model_with, FinderConfig, SearchOutcome};
-pub use saturate::{
-    saturate_datalog, saturate_datalog_naive, saturate_datalog_with, SaturationResult,
-};
+pub use saturate::{saturate_datalog, saturate_datalog_with, SaturationResult};
 pub use trace::{traced_chase, Derivation, DerivationTree, TracedChase};

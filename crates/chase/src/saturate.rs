@@ -1,18 +1,16 @@
-//! Semi-naive saturation under the datalog rules of a theory.
+//! Saturation under the datalog rules of a theory.
 //!
 //! The finite-model pipeline of Section 3 chases the quotient `Mη(S̄)`
 //! with the full theory but — by Lemma 5 — only the datalog rules ever
-//! fire. This module provides the saturation step directly: it applies
-//! *only* the datalog rules to a fixpoint, which always terminates (no new
-//! elements are ever created), using semi-naive evaluation (every derived
-//! fact must use at least one fact from the previous delta).
+//! fire. This module provides the saturation step directly: it runs a
+//! restricted [`ChaseStepper`] over *only* the datalog rules to a
+//! fixpoint, which always terminates (no new elements are ever created).
+//! The stepper's semi-naive rounds mean every derived fact uses at least
+//! one fact from the previous round's delta.
 
-use bddfc_core::fxhash::FxHashSet;
-use bddfc_core::join::{self, JoinMode};
-use bddfc_core::obs::{Event, EventSink, SpanTimer, NULL};
-use bddfc_core::par;
-use bddfc_core::{hom, Binding, ConstId, Fact, Instance, PredId, Rule, Term, Theory};
-use std::ops::{ControlFlow, Range};
+use crate::engine::{ChaseStepper, ChaseVariant};
+use bddfc_core::obs::{EventSink, NULL};
+use bddfc_core::{Instance, Theory, Vocabulary};
 
 /// The result of a datalog saturation.
 #[derive(Clone, Debug)]
@@ -35,504 +33,44 @@ impl SaturationResult {
     }
 }
 
-/// Grounds the head atoms of a datalog rule under a total body binding.
-fn ground_head<'a>(rule: &'a Rule, binding: &Binding) -> impl Iterator<Item = Fact> + 'a {
-    let binding = binding.clone();
-    rule.head.iter().map(move |atom| {
-        atom.apply(&|v| binding.get(&v).map(|&c| Term::Const(c)))
-            .to_fact()
-            .expect("datalog head grounded by body binding")
-    })
-}
-
-/// Evaluates one semi-naive work item — rule body atom `pin` bound to the
-/// delta fact `dfact`, the join completed against the full instance. Pure
-/// over `inst`, so items shard freely across threads; `seen` is only a
-/// local dedup (the round merge re-dedups globally).
-fn rule_item(
-    inst: &Instance,
-    rule: &Rule,
-    pin: usize,
-    dfact: &Fact,
-    out: &mut Vec<Fact>,
-    seen: &mut FxHashSet<Fact>,
-    matches: &mut u64,
-    scans: Option<&mut hom::ScanStats>,
-) {
-    let pinned = &rule.body[pin];
-    // Bind the pinned atom against the delta fact.
-    let mut binding = Binding::default();
-    for (term, &c) in pinned.args.iter().zip(dfact.args.iter()) {
-        match term {
-            Term::Const(k) => {
-                if *k != c {
-                    return;
-                }
-            }
-            Term::Var(v) => match binding.get(v) {
-                Some(&b) if b != c => return,
-                _ => {
-                    binding.insert(*v, c);
-                }
-            },
-        }
-    }
-    // Match the remaining atoms in the full instance.
-    let rest: Vec<_> = rule
-        .body
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| *i != pin)
-        .map(|(_, a)| a.clone())
-        .collect();
-    let mut visit = |b: &Binding| {
-        *matches += 1;
-        for fact in ground_head(rule, b) {
-            if !inst.contains(&fact) && seen.insert(fact.clone()) {
-                out.push(fact);
-            }
-        }
-        ControlFlow::Continue(())
-    };
-    let _ = match scans {
-        Some(s) => hom::for_each_hom_scanned(inst, &rest, &binding, s, &mut visit),
-        None => hom::for_each_hom(inst, &rest, &binding, &mut visit),
-    };
-}
-
-/// Evaluates one rule naively: enumerates *all* body homomorphisms over
-/// the full instance, ignoring the delta. Differential-testing oracle for
-/// [`rule_item`].
-fn rule_round_naive(
-    inst: &Instance,
-    rule: &Rule,
-    out: &mut Vec<Fact>,
-    seen: &mut FxHashSet<Fact>,
-    matches: &mut u64,
-    scans: Option<&mut hom::ScanStats>,
-) {
-    let mut visit = |b: &Binding| {
-        *matches += 1;
-        for fact in ground_head(rule, b) {
-            if !inst.contains(&fact) && seen.insert(fact.clone()) {
-                out.push(fact);
-            }
-        }
-        ControlFlow::Continue(())
-    };
-    let _ = match scans {
-        Some(s) => {
-            hom::for_each_hom_scanned(inst, &rule.body, &Binding::default(), s, &mut visit)
-        }
-        None => hom::for_each_hom(inst, &rule.body, &Binding::default(), &mut visit),
-    };
-}
-
-/// Evaluates one rule with the batch join kernel — optionally pinned to a
-/// delta tail segment — and grounds its head once per output row, reading
-/// head arguments straight out of the batch's columns instead of
-/// materializing per-row bindings. The batch-engine counterpart of
-/// [`rule_item`] / [`rule_round_naive`].
-fn batch_rule(
-    inst: &Instance,
-    rule: &Rule,
-    pinned: Option<(usize, Range<usize>)>,
-    out: &mut Vec<Fact>,
-    seen: &mut FxHashSet<Fact>,
-    matches: &mut u64,
-    joins: Option<&mut join::JoinStats>,
-) {
-    let batch = join::eval_body(inst.columnar(), &rule.body, pinned, joins);
-    if batch.rows() == 0 {
-        return;
-    }
-    *matches += batch.rows() as u64;
-    /// Where one head-atom argument comes from, resolved once per call.
-    enum Src {
-        Const(ConstId),
-        Col(usize),
-    }
-    let heads: Vec<(PredId, Vec<Src>)> = rule
-        .head
-        .iter()
-        .map(|atom| {
-            let srcs = atom
-                .args
-                .iter()
-                .map(|t| match t {
-                    Term::Const(c) => Src::Const(*c),
-                    Term::Var(v) => Src::Col(
-                        batch.col_of(*v).expect("datalog head variable bound by body"),
-                    ),
-                })
-                .collect();
-            (atom.pred, srcs)
-        })
-        .collect();
-    for row in 0..batch.rows() {
-        for (pred, srcs) in &heads {
-            let args: Vec<ConstId> = srcs
-                .iter()
-                .map(|s| match s {
-                    Src::Const(c) => *c,
-                    Src::Col(i) => batch.get(row, *i),
-                })
-                .collect();
-            let fact = Fact::new(*pred, args);
-            if !inst.contains(&fact) && seen.insert(fact.clone()) {
-                out.push(fact);
-            }
-        }
-    }
-}
-
-fn saturate_impl<S: EventSink>(
-    inst: &Instance,
-    theory: &Theory,
-    naive: bool,
-    sink: &S,
-) -> SaturationResult {
-    // Resolved once, on the calling thread, before any parallel region —
-    // thread-local join-mode overrides do not cross into `par` workers.
-    let mode = join::join_mode();
-    // Keep each datalog rule's index in the *theory* — the attribution
-    // key shared with the chase's `chase`/`trigger` events.
-    let datalog: Vec<(usize, &Rule)> =
-        theory.rules.iter().enumerate().filter(|(_, r)| r.is_datalog()).collect();
-    // Per-shard attribution (indexed by datalog position), merged
-    // sequentially; only built when a recording sink is installed.
-    struct ShardAttr {
-        rule_matches: Vec<u64>,
-        rule_ns: Vec<u64>,
-        scans: hom::ScanStats,
-        joins: join::JoinStats,
-    }
-    let new_attr = || {
-        if S::ENABLED {
-            Some(ShardAttr {
-                rule_matches: vec![0; datalog.len()],
-                rule_ns: vec![0; datalog.len()],
-                scans: hom::ScanStats::default(),
-                joins: join::JoinStats::default(),
-            })
-        } else {
-            None
-        }
-    };
-    let run_span = if S::ENABLED { sink.span_open("saturate", "run", 0, None) } else { 0 };
-    let mut current = inst.clone();
-    let mut delta = inst.clone();
-    let mut rounds = 0;
-    let mut derived = 0;
-    let mut body_matches_per_round = Vec::new();
-    loop {
-        let timer = SpanTimer::start();
-        let round_span = if S::ENABLED {
-            sink.span_open(
-                "saturate",
-                "round",
-                run_span,
-                Some(("round", body_matches_per_round.len() as u64 + 1)),
-            )
-        } else {
-            0
-        };
-        // Phase 1 (parallel): every shard derives candidate facts with a
-        // shard-local dedup against the frozen `current`. Work items keep
-        // the sequential (rule, pin, delta-fact) nesting order so the
-        // merged stream is the one the sequential loop would build.
-        let shard_out: Vec<(Vec<Fact>, u64, Option<ShardAttr>)> = match (naive, mode) {
-            (true, JoinMode::Batch) => par::par_chunks(datalog.len(), |range| {
-                let mut out = Vec::new();
-                let mut seen = FxHashSet::default();
-                let mut matches = 0u64;
-                let mut attr = new_attr();
-                for di in range {
-                    let t = attr.is_some().then(SpanTimer::start);
-                    let before = matches;
-                    batch_rule(
-                        &current,
-                        datalog[di].1,
-                        None,
-                        &mut out,
-                        &mut seen,
-                        &mut matches,
-                        attr.as_mut().map(|a| &mut a.joins),
-                    );
-                    if let Some(a) = attr.as_mut() {
-                        a.rule_ns[di] += t.expect("timer set with attr").elapsed_ns();
-                        a.rule_matches[di] += matches - before;
-                    }
-                }
-                (out, matches, attr)
-            }),
-            (true, JoinMode::Tuple) => par::par_chunks(datalog.len(), |range| {
-                let mut out = Vec::new();
-                let mut seen = FxHashSet::default();
-                let mut matches = 0u64;
-                let mut attr = new_attr();
-                for di in range {
-                    match attr.as_mut() {
-                        Some(a) => {
-                            let t = SpanTimer::start();
-                            let before = matches;
-                            rule_round_naive(
-                                &current,
-                                datalog[di].1,
-                                &mut out,
-                                &mut seen,
-                                &mut matches,
-                                Some(&mut a.scans),
-                            );
-                            a.rule_ns[di] += t.elapsed_ns();
-                            a.rule_matches[di] += matches - before;
-                        }
-                        None => rule_round_naive(
-                            &current,
-                            datalog[di].1,
-                            &mut out,
-                            &mut seen,
-                            &mut matches,
-                            None,
-                        ),
-                    }
-                }
-                (out, matches, attr)
-            }),
-            (false, JoinMode::Batch) => {
-                // One work item per (rule, pinned atom): the pin's delta
-                // facts are exactly the tail `delta_count` rows of its
-                // relation in `current` (append-only segments; nothing
-                // else is inserted between rounds).
-                let mut work: Vec<(usize, usize, Range<usize>)> = Vec::new();
-                for (di, (_, rule)) in datalog.iter().enumerate() {
-                    for pin in 0..rule.body.len() {
-                        let pred = rule.body[pin].pred;
-                        let k = delta.facts_with_pred(pred).len();
-                        if k == 0 {
-                            continue;
-                        }
-                        let rows = current.columnar().rows(pred);
-                        debug_assert!(k <= rows, "delta larger than its relation");
-                        work.push((di, pin, rows - k..rows));
-                    }
-                }
-                par::par_chunks(work.len(), |range| {
-                    let mut out = Vec::new();
-                    let mut seen = FxHashSet::default();
-                    let mut matches = 0u64;
-                    let mut attr = new_attr();
-                    for (di, pin, seg) in &work[range] {
-                        let t = attr.is_some().then(SpanTimer::start);
-                        let before = matches;
-                        batch_rule(
-                            &current,
-                            datalog[*di].1,
-                            Some((*pin, seg.clone())),
-                            &mut out,
-                            &mut seen,
-                            &mut matches,
-                            attr.as_mut().map(|a| &mut a.joins),
-                        );
-                        if let Some(a) = attr.as_mut() {
-                            a.rule_ns[*di] += t.expect("timer set with attr").elapsed_ns();
-                            a.rule_matches[*di] += matches - before;
-                        }
-                    }
-                    (out, matches, attr)
-                })
-            }
-            (false, JoinMode::Tuple) => {
-                let mut work: Vec<(usize, usize, &Fact)> = Vec::new();
-                for (di, (_, rule)) in datalog.iter().enumerate() {
-                    for pin in 0..rule.body.len() {
-                        for &didx in delta.facts_with_pred(rule.body[pin].pred) {
-                            work.push((di, pin, delta.fact(didx)));
-                        }
-                    }
-                }
-                par::par_chunks(work.len(), |range| {
-                    let mut out = Vec::new();
-                    let mut seen = FxHashSet::default();
-                    let mut matches = 0u64;
-                    let mut attr = new_attr();
-                    for &(di, pin, dfact) in &work[range] {
-                        match attr.as_mut() {
-                            Some(a) => {
-                                let t = SpanTimer::start();
-                                let before = matches;
-                                rule_item(
-                                    &current,
-                                    datalog[di].1,
-                                    pin,
-                                    dfact,
-                                    &mut out,
-                                    &mut seen,
-                                    &mut matches,
-                                    Some(&mut a.scans),
-                                );
-                                a.rule_ns[di] += t.elapsed_ns();
-                                a.rule_matches[di] += matches - before;
-                            }
-                            None => rule_item(
-                                &current,
-                                datalog[di].1,
-                                pin,
-                                dfact,
-                                &mut out,
-                                &mut seen,
-                                &mut matches,
-                                None,
-                            ),
-                        }
-                    }
-                    (out, matches, attr)
-                })
-            }
-        };
-        // Phase 2 (sequential): merge shards in input order with a global
-        // first-occurrence dedup.
-        let mut new_facts = Vec::new();
-        let mut seen: FxHashSet<Fact> = FxHashSet::default();
-        let mut matches = 0u64;
-        let mut merged_attr = new_attr();
-        for (shard, m, attr) in shard_out {
-            matches += m;
-            if let (Some(total), Some(a)) = (merged_attr.as_mut(), attr) {
-                for (di, (&rm, &ns)) in a.rule_matches.iter().zip(&a.rule_ns).enumerate() {
-                    total.rule_matches[di] += rm;
-                    total.rule_ns[di] += ns;
-                }
-                total.scans.merge(&a.scans);
-                total.joins.merge(&a.joins);
-            }
-            for fact in shard {
-                if seen.insert(fact.clone()) {
-                    new_facts.push(fact);
-                }
-            }
-        }
-        body_matches_per_round.push(matches);
-        let fixpoint = new_facts.is_empty();
-        let mut round_derived = 0u64;
-        if !fixpoint {
-            rounds += 1;
-            let mut next_delta = Instance::new();
-            for fact in new_facts {
-                if current.insert(fact.clone()) {
-                    derived += 1;
-                    round_derived += 1;
-                    next_delta.insert(fact);
-                }
-            }
-            delta = next_delta;
-        }
-        if S::ENABLED {
-            if let Some(a) = merged_attr {
-                for (di, &(theory_idx, _)) in datalog.iter().enumerate() {
-                    // Skip rules that never completed a match this round;
-                    // the skip decision only reads deterministic fields.
-                    if a.rule_matches[di] == 0 {
-                        continue;
-                    }
-                    sink.record(Event {
-                        engine: "saturate",
-                        name: "rule",
-                        parent: round_span,
-                        key: Some(("rule", theory_idx as u64)),
-                        fields: &[("body_matches", a.rule_matches[di])],
-                        gauges: &[("wall_ns", a.rule_ns[di])],
-                    });
-                }
-                for (pred, scans, candidates) in a.scans.sorted() {
-                    sink.record(Event {
-                        engine: "hom",
-                        name: "scan",
-                        parent: round_span,
-                        key: Some(("pred", u64::from(pred.0))),
-                        fields: &[("scans", scans), ("candidates", candidates)],
-                        gauges: &[],
-                    });
-                }
-                for (pred, c) in a.joins.sorted() {
-                    if c.builds > 0 {
-                        sink.record(Event {
-                            engine: "join",
-                            name: "build",
-                            parent: round_span,
-                            key: Some(("pred", u64::from(pred.0))),
-                            fields: &[("builds", c.builds), ("rows", c.build_rows)],
-                            gauges: &[("wall_ns", c.build_ns)],
-                        });
-                    }
-                    if c.probes > 0 {
-                        sink.record(Event {
-                            engine: "join",
-                            name: "probe",
-                            parent: round_span,
-                            key: Some(("pred", u64::from(pred.0))),
-                            fields: &[
-                                ("probes", c.probes),
-                                ("rows", c.probe_rows),
-                                ("matches", c.matches),
-                            ],
-                            gauges: &[("wall_ns", c.probe_ns)],
-                        });
-                    }
-                }
-            }
-            sink.record(Event {
-                engine: "saturate",
-                name: "round",
-                parent: round_span,
-                key: None,
-                fields: &[
-                    ("round", body_matches_per_round.len() as u64),
-                    ("body_matches", matches),
-                    ("derived", round_derived),
-                    ("facts_total", current.len() as u64),
-                ],
-                gauges: &[
-                    ("wall_ns", timer.elapsed_ns()),
-                    ("threads", par::num_threads() as u64),
-                ],
-            });
-            sink.span_close(round_span);
-        }
-        if fixpoint {
-            break;
-        }
-    }
-    if S::ENABLED {
-        sink.span_close(run_span);
-    }
-    SaturationResult { instance: current, rounds, derived, body_matches_per_round }
-}
-
 /// Saturates `inst` under the *datalog rules* of `theory` (existential
 /// TGDs are ignored), using semi-naive evaluation. Always terminates.
 pub fn saturate_datalog(inst: &Instance, theory: &Theory) -> SaturationResult {
-    saturate_impl(inst, theory, false, &NULL)
+    saturate_datalog_with(inst, theory, &NULL)
 }
 
-/// Like [`saturate_datalog`], but reports one `saturate`/`round` event
-/// per round into `sink` (fields: round, body_matches, derived,
-/// facts_total; gauges: wall_ns, threads). The final, empty round that
-/// certifies the fixpoint also emits an event, aligning the event count
+/// Like [`saturate_datalog`], but reports the stepper's telemetry into
+/// `sink`: one `saturate`/`run` span enclosing the usual per-round
+/// `chase`/`round` spans and events (see [`ChaseStepper::step`]). Rule
+/// keys of the `chase`/`trigger` events index the theory's datalog rules
+/// in order, not the whole theory. The final, empty round that certifies
+/// the fixpoint also emits its events, aligning the round-event count
 /// with `body_matches_per_round`.
 pub fn saturate_datalog_with<S: EventSink>(
     inst: &Instance,
     theory: &Theory,
     sink: &S,
 ) -> SaturationResult {
-    saturate_impl(inst, theory, false, sink)
-}
-
-/// Naive-evaluation oracle for [`saturate_datalog`]: every round
-/// re-enumerates all body homomorphisms over the full instance. Same
-/// result, more work — kept for differential testing.
-pub fn saturate_datalog_naive(inst: &Instance, theory: &Theory) -> SaturationResult {
-    saturate_impl(inst, theory, true, &NULL)
+    let datalog = Theory::new(theory.datalog_rules().cloned().collect());
+    let run_span = if S::ENABLED { sink.span_open("saturate", "run", 0, None) } else { 0 };
+    let mut stepper =
+        ChaseStepper::with_sink(inst, &datalog, ChaseVariant::Restricted, sink).under_span(run_span);
+    // Datalog repairs never invent a null, so the vocabulary the stepper
+    // mints from stays untouched; a scratch one keeps the API voc-free.
+    let mut voc = Vocabulary::new();
+    let mut rounds = 0;
+    while stepper.step_indexed(&mut voc) < stepper.instance.len() {
+        rounds += 1;
+    }
+    if S::ENABLED {
+        sink.span_close(run_span);
+    }
+    SaturationResult {
+        derived: stepper.instance.len() - inst.len(),
+        instance: stepper.instance,
+        rounds,
+        body_matches_per_round: stepper.stats.body_matches_per_round,
+    }
 }
 
 #[cfg(test)]
@@ -569,7 +107,7 @@ mod tests {
     }
 
     #[test]
-    fn semi_naive_matches_naive_on_cycle() {
+    fn transitive_closure_of_cycle() {
         let prog = parse_program(
             "E(X,Y), E(Y,Z) -> E(X,Z).
              E(a,b). E(b,c). E(c,a).",
@@ -641,94 +179,54 @@ mod tests {
         let sink = Memory::new(64);
         let res = saturate_datalog_with(&prog.instance, &prog.theory, &sink);
         assert_eq!(res.instance, saturate_datalog(&prog.instance, &prog.theory).instance);
-        assert_eq!(sink.counter("saturate", "round", "derived"), res.derived as u64);
+        assert_eq!(sink.counter("chase", "round", "new_facts"), res.derived as u64);
         assert_eq!(
-            sink.counter("saturate", "round", "body_matches"),
+            sink.counter("chase", "round", "body_matches"),
             res.total_body_matches()
         );
         let round_events = sink
             .event_counts()
             .into_iter()
-            .find(|&((e, n), _)| (e, n) == ("saturate", "round"))
+            .find(|&((e, n), _)| (e, n) == ("chase", "round"))
             .map(|(_, c)| c);
         assert_eq!(round_events, Some(res.body_matches_per_round.len() as u64));
-        // Per-rule attribution (keyed by theory rule index) reconciles
-        // with the round totals, and candidate scans are charged to E.
+        // Per-rule attribution reconciles with the round totals, and the
+        // batched join kernel charges its probes.
         assert_eq!(
-            sink.counter("saturate", "rule", "body_matches"),
+            sink.counter("chase", "trigger", "body_matches"),
             res.total_body_matches()
         );
-        // Enumeration telemetry depends on the join engine: the batch
-        // kernel charges join probes, the tuple oracle hom scans.
-        match join::join_mode() {
-            JoinMode::Batch => assert!(sink.counter("join", "probe", "probes") > 0),
-            JoinMode::Tuple => assert!(sink.counter("hom", "scan", "scans") > 0),
-        }
-        // One run span + one span per round, all closed.
+        assert!(sink.counter("join", "probe", "matches") >= res.total_body_matches());
+        // One run span enclosing one stepper round span per round, all
+        // closed.
         let spans = sink.spans();
         assert_eq!(spans.len(), 1 + res.body_matches_per_round.len());
         assert_eq!((spans[0].engine, spans[0].name), ("saturate", "run"));
         assert!(spans.iter().all(|s| s.is_closed()));
-        assert!(spans[1..].iter().all(|s| s.parent == spans[0].id));
-        // And explicitly under each pinned mode.
-        let batch_sink = Memory::new(64);
-        join::with_join_mode(JoinMode::Batch, || {
-            saturate_datalog_with(&prog.instance, &prog.theory, &batch_sink)
-        });
-        assert!(batch_sink.counter("join", "probe", "matches") >= res.total_body_matches());
-        let tuple_sink = Memory::new(64);
-        join::with_join_mode(JoinMode::Tuple, || {
-            saturate_datalog_with(&prog.instance, &prog.theory, &tuple_sink)
-        });
-        assert!(tuple_sink.counter("hom", "scan", "scans") > 0);
+        assert!(spans[1..]
+            .iter()
+            .all(|s| (s.engine, s.name, s.parent) == ("chase", "round", spans[0].id)));
     }
 
-    /// The batch kernel and the tuple oracle derive the same closure with
-    /// the same per-round work counts, under both evaluation modes.
     #[test]
-    fn batch_and_tuple_saturation_agree() {
+    fn trigger_keys_index_the_datalog_rules() {
+        use bddfc_core::obs::Memory;
+        // The transitivity rule is theory rule #1 but datalog rule #0.
         let prog = parse_program(
-            "E(X,Y), E(Y,Z) -> E(X,Z).
-             E(X,Y), E(X2,Y) -> R(X,X2).
-             R(X,X) -> Loop(X).
-             E(a,b). E(b,c). E(c,a). E(d,c).",
+            "E(X,Y) -> exists Z . E(Y,Z).
+             E(X,Y), E(Y,Z) -> E(X,Z).
+             E(a,b). E(b,c).",
         )
         .unwrap();
-        for naive in [false, true] {
-            let run = |mode| {
-                join::with_join_mode(mode, || {
-                    if naive {
-                        saturate_datalog_naive(&prog.instance, &prog.theory)
-                    } else {
-                        saturate_datalog(&prog.instance, &prog.theory)
-                    }
-                })
-            };
-            let tuple = run(JoinMode::Tuple);
-            let batch = run(JoinMode::Batch);
-            assert_eq!(tuple.instance, batch.instance, "naive={naive}");
-            assert_eq!(tuple.derived, batch.derived, "naive={naive}");
-            assert_eq!(tuple.rounds, batch.rounds, "naive={naive}");
-            assert_eq!(
-                tuple.body_matches_per_round, batch.body_matches_per_round,
-                "naive={naive}"
-            );
-        }
-    }
-
-    #[test]
-    fn naive_oracle_agrees_and_works_harder() {
-        let edges: String = (1..=40).map(|i| format!("E(a{i},a{}). ", i + 1)).collect();
-        let prog = parse_program(&format!("E(X,Y), E(Y,Z) -> E(X,Z). {edges}")).unwrap();
-        let semi = saturate_datalog(&prog.instance, &prog.theory);
-        let naive = saturate_datalog_naive(&prog.instance, &prog.theory);
-        assert_eq!(semi.instance, naive.instance);
-        assert_eq!(semi.derived, naive.derived);
-        assert!(
-            naive.total_body_matches() >= 2 * semi.total_body_matches(),
-            "naive {} vs semi-naive {}",
-            naive.total_body_matches(),
-            semi.total_body_matches()
-        );
+        let sink = Memory::new(64);
+        let _ = saturate_datalog_with(&prog.instance, &prog.theory, &sink);
+        let keys: Vec<_> = sink
+            .events()
+            .iter()
+            .filter(|e| (e.engine, e.name) == ("chase", "trigger"))
+            .map(|e| e.key)
+            .collect();
+        assert!(!keys.is_empty());
+        assert!(keys.iter().all(|&k| k == Some(("rule", 0))), "{keys:?}");
     }
 }

@@ -7,10 +7,12 @@
 //! * [`gen`] — a deterministic generator of random Datalog∃ programs,
 //!   stratified across the recognized classes (guarded, sticky, weakly
 //!   acyclic, Theorem 3 fragment, unrestricted);
-//! * [`props`] — the registry of differential properties: naive vs
-//!   semi-naive chase, restricted-embeds-in-oblivious, certainty-depth
-//!   strategy blindness, thread/obs invariance, witness-vs-oracle class
-//!   recognizers, rewriting vs chase, lint stability;
+//! * [`reference`] — the one reference chase evaluator, naive and
+//!   written line by line after the paper's `Chase¹`;
+//! * [`props`] — the registry of differential properties: chase and
+//!   certain answers vs the reference, restricted-embeds-in-oblivious,
+//!   thread/obs invariance, witness-vs-oracle class recognizers,
+//!   rewriting vs chase, lint stability;
 //! * [`shrink`] — a greedy delta-debugging shrinker that reduces any
 //!   failure to a minimal parseable reproducer;
 //! * [`report`] — deterministic human- and machine-readable reports;
@@ -24,6 +26,7 @@
 pub mod gen;
 pub mod proptest_lite;
 pub mod props;
+pub mod reference;
 pub mod report;
 pub mod shrink;
 

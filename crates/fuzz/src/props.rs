@@ -9,11 +9,10 @@
 //!
 //! | property | engine pair |
 //! |---|---|
-//! | `chase_strategy_agreement` | naive vs semi-naive chase, both variants, roundwise + full-run |
+//! | `chase_vs_reference` | `ChaseStepper` vs the [`crate::reference`] evaluator, both variants, roundwise + full-run, body matches included |
 //! | `chase_restricted_embeds` | restricted chase embeds homomorphically into oblivious |
-//! | `chase_certainty_strategy_blind` | `certain_ucq` verdicts + depth `k` across strategies |
+//! | `certainty_vs_reference` | `certain_ucq` verdicts + depth `k` vs the reference's round prefixes |
 //! | `chase_thread_invariance` | chase outputs + obs counters at `BDDFC_THREADS` ∈ {1,2,7} |
-//! | `join_kernel_vs_tuple_oracle` | batched hash-join chase vs tuple-at-a-time engine, all variants × strategies |
 //! | `classes_witness_oracle` | witness-producing recognizers vs legacy boolean oracles |
 //! | `rewrite_vs_chase` | UCQ-rewriting certain answers vs chase certain answers |
 //! | `lint_stability` | linting is deterministic and panic-free |
@@ -26,17 +25,17 @@
 
 use crate::gen::FuzzCase;
 use crate::proptest_lite::{ensure, ensure_eq, PropResult};
+use crate::reference::{self, Reference};
 use bddfc_analyze::{analyze as static_analyze, domain::DomainAnalysis};
 use bddfc_chase::{
     certain_ucq, certain_ucq_outcome, chase, chase_with, Certainty, ChaseConfig, ChaseStatus,
-    ChaseStepper, ChaseStrategy, ChaseVariant,
+    ChaseStepper, ChaseVariant,
 };
 use bddfc_classes::{
     guard_violations, is_guarded, is_sticky, is_theorem3_fragment, is_weakly_acyclic,
     sticky_violations, theorem3_violations, weak_acyclicity_violation,
 };
 use bddfc_core::fxhash::FxHashMap;
-use bddfc_core::join::{with_join_mode, JoinMode};
 use bddfc_core::obs::Memory;
 use bddfc_core::satisfaction::satisfies_theory;
 use bddfc_core::{
@@ -142,9 +141,9 @@ pub struct Prop {
 /// The registry, in fixed execution order.
 pub static PROPS: &[Prop] = &[
     Prop {
-        name: "chase_strategy_agreement",
-        describe: "naive and semi-naive chase agree round-by-round and end-to-end",
-        check: chase_strategy_agreement,
+        name: "chase_vs_reference",
+        describe: "the chase engine agrees with the reference evaluator round-by-round and end-to-end",
+        check: chase_vs_reference,
     },
     Prop {
         name: "chase_restricted_embeds",
@@ -152,19 +151,14 @@ pub static PROPS: &[Prop] = &[
         check: chase_restricted_embeds,
     },
     Prop {
-        name: "chase_certainty_strategy_blind",
-        describe: "certain-answer verdicts and depth k are identical across chase strategies",
-        check: chase_certainty_strategy_blind,
+        name: "certainty_vs_reference",
+        describe: "certain-answer verdicts and depth k agree with the reference evaluator",
+        check: certainty_vs_reference,
     },
     Prop {
         name: "chase_thread_invariance",
         describe: "chase outputs and obs counters are byte-identical at 1/2/7 threads",
         check: chase_thread_invariance,
-    },
-    Prop {
-        name: "join_kernel_vs_tuple_oracle",
-        describe: "batched hash-join chase agrees with the tuple-at-a-time oracle engine",
-        check: join_kernel_vs_tuple_oracle,
     },
     Prop {
         name: "classes_witness_oracle",
@@ -198,13 +192,8 @@ pub fn find_prop(name: &str) -> Option<&'static Prop> {
     PROPS.iter().find(|p| p.name == name)
 }
 
-fn chase_config(ctx: &PropCtx, variant: ChaseVariant, strategy: ChaseStrategy) -> ChaseConfig {
-    ChaseConfig {
-        max_rounds: ctx.max_rounds,
-        max_facts: ctx.max_facts,
-        variant,
-        strategy,
-    }
+fn chase_config(ctx: &PropCtx, variant: ChaseVariant) -> ChaseConfig {
+    ChaseConfig { max_rounds: ctx.max_rounds, max_facts: ctx.max_facts, variant }
 }
 
 /// Compact instance comparison: equality or a bounded message naming one
@@ -227,56 +216,58 @@ fn ensure_same_instance(a: &Instance, b: &Instance, voc: &Vocabulary, what: &str
     ))
 }
 
-/// `chase_strategy_agreement`: naive vs semi-naive, both variants,
-/// stepped round-by-round (same new facts in the same order, hence the
-/// same fresh-null names) and through the public `chase` entry point.
-/// The mutation runs on the semi-naive side.
-fn chase_strategy_agreement(_case: &FuzzCase, prog: &Program, ctx: &PropCtx) -> PropResult {
+/// `chase_vs_reference`: the engine ([`ChaseStepper`], and `chase` over
+/// it) against the [`reference`] evaluator, both variants. Stepped round
+/// by round: same new facts in the same order (hence the same fresh-null
+/// names), same instance and same semi-naive body-match count. Then the
+/// full budgeted runs: instance, depth map, rounds, status and per-round
+/// body matches. The mutation runs on the engine side.
+fn chase_vs_reference(_case: &FuzzCase, prog: &Program, ctx: &PropCtx) -> PropResult {
     let mutated = ctx.mutation.apply(&prog.theory);
     for variant in [ChaseVariant::Restricted, ChaseVariant::Oblivious] {
-        let mut voc_n = prog.voc.clone();
-        let mut voc_s = prog.voc.clone();
-        let mut naive =
-            ChaseStepper::new(&prog.instance, &prog.theory, variant, ChaseStrategy::Naive);
-        let mut semi =
-            ChaseStepper::new(&prog.instance, &mutated, variant, ChaseStrategy::SemiNaive);
+        let mut voc_r = prog.voc.clone();
+        let mut voc_e = prog.voc.clone();
+        let mut oracle = Reference::new(&prog.instance, &prog.theory, variant);
+        let mut engine = ChaseStepper::new(&prog.instance, &mutated, variant);
         for round in 1..=ctx.max_rounds {
-            let new_n = naive.step(&mut voc_n);
-            let new_s = semi.step(&mut voc_s);
-            if new_n != new_s {
+            let expect = oracle.step(&mut voc_r);
+            let got = engine.step(&mut voc_e);
+            if expect.new_facts != got {
                 return Err(format!(
-                    "{variant:?}: round {round} facts differ (naive {} vs semi-naive {})",
-                    new_n.len(),
-                    new_s.len()
+                    "{variant:?}: round {round} facts differ (reference {} vs engine {})",
+                    expect.new_facts.len(),
+                    got.len()
                 ));
             }
             ensure_same_instance(
-                &naive.instance,
-                &semi.instance,
-                &voc_n,
+                &oracle.instance,
+                &engine.instance,
+                &voc_r,
                 &format!("{variant:?}: round {round}"),
             )?;
-            if new_n.is_empty() || naive.instance.len() > ctx.max_facts {
+            ensure_eq(
+                Some(&expect.body_matches),
+                engine.stats.body_matches_per_round.last(),
+                &format!("{variant:?}: round {round} body matches"),
+            )?;
+            if got.is_empty() || engine.instance.len() > ctx.max_facts {
                 break;
             }
         }
 
-        let res_n = chase(
-            &prog.instance,
-            &prog.theory,
-            &mut prog.voc.clone(),
-            chase_config(ctx, variant, ChaseStrategy::Naive),
-        );
-        let res_s = chase(
-            &prog.instance,
-            &mutated,
-            &mut prog.voc.clone(),
-            chase_config(ctx, variant, ChaseStrategy::SemiNaive),
-        );
-        ensure_same_instance(&res_n.instance, &res_s.instance, &prog.voc, &format!("{variant:?}: full run"))?;
-        ensure_eq(res_n.depth_map(), res_s.depth_map(), &format!("{variant:?}: depth map"))?;
-        ensure_eq(res_n.rounds, res_s.rounds, &format!("{variant:?}: rounds"))?;
-        ensure_eq(res_n.status, res_s.status, &format!("{variant:?}: status"))?;
+        let cfg = chase_config(ctx, variant);
+        let expect = reference::run(&prog.instance, &prog.theory, &mut prog.voc.clone(), cfg);
+        let got = chase(&prog.instance, &mutated, &mut prog.voc.clone(), cfg);
+        let what = format!("{variant:?}: full run");
+        ensure_same_instance(&expect.instance, &got.instance, &prog.voc, &what)?;
+        ensure_eq(expect.depth, got.depth_map(), &format!("{what}: depth map"))?;
+        ensure_eq(expect.rounds, got.rounds, &format!("{what}: rounds"))?;
+        ensure_eq(expect.status, got.status, &format!("{what}: status"))?;
+        ensure_eq(
+            expect.body_matches_per_round,
+            got.stats.body_matches_per_round,
+            &format!("{what}: per-round body matches"),
+        )?;
     }
     Ok(())
 }
@@ -291,13 +282,13 @@ fn chase_restricted_embeds(_case: &FuzzCase, prog: &Program, ctx: &PropCtx) -> P
         &prog.instance,
         &prog.theory,
         &mut voc_r,
-        chase_config(ctx, ChaseVariant::Restricted, ChaseStrategy::SemiNaive),
+        chase_config(ctx, ChaseVariant::Restricted),
     );
     let oblivious = chase(
         &prog.instance,
         &mutated,
         &mut prog.voc.clone(),
-        chase_config(ctx, ChaseVariant::Oblivious, ChaseStrategy::SemiNaive),
+        chase_config(ctx, ChaseVariant::Oblivious),
     );
     let mut null_var = FxHashMap::default();
     let mut atoms = Vec::new();
@@ -349,32 +340,23 @@ fn derived_queries(prog: &Program) -> (Vocabulary, Vec<Ucq>) {
     (voc, queries)
 }
 
-/// `chase_certainty_strategy_blind`: the `Certainty` verdict — including
-/// the witnessing depth `k` in `True(k)` — must not depend on the chase
-/// strategy. The mutation runs on the semi-naive side.
-fn chase_certainty_strategy_blind(_case: &FuzzCase, prog: &Program, ctx: &PropCtx) -> PropResult {
+/// `certainty_vs_reference`: the `Certainty` verdict of `certain_ucq` —
+/// including the witnessing depth `k` in `True(k)` — equals the one read
+/// off the [`reference`] evaluator's round prefixes under the same
+/// budgets. The mutation runs on the engine side.
+fn certainty_vs_reference(_case: &FuzzCase, prog: &Program, ctx: &PropCtx) -> PropResult {
     let mutated = ctx.mutation.apply(&prog.theory);
     let (voc, queries) = derived_queries(prog);
     for (qi, query) in queries.iter().enumerate() {
         for variant in [ChaseVariant::Restricted, ChaseVariant::Oblivious] {
-            let c_n = certain_ucq(
-                &prog.instance,
-                &prog.theory,
-                &mut voc.clone(),
-                query,
-                chase_config(ctx, variant, ChaseStrategy::Naive),
-            );
-            let c_s = certain_ucq(
-                &prog.instance,
-                &mutated,
-                &mut voc.clone(),
-                query,
-                chase_config(ctx, variant, ChaseStrategy::SemiNaive),
-            );
+            let cfg = chase_config(ctx, variant);
+            let expect =
+                reference::certainty(&prog.instance, &prog.theory, &mut voc.clone(), query, cfg);
+            let got = certain_ucq(&prog.instance, &mutated, &mut voc.clone(), query, cfg);
             ensure_eq(
-                c_n,
-                c_s,
-                &format!("{variant:?}: Certainty diverged between strategies on query #{qi}"),
+                expect,
+                got,
+                &format!("{variant:?}: Certainty diverged from the reference on query #{qi}"),
             )?;
         }
     }
@@ -394,7 +376,7 @@ fn chase_thread_invariance(_case: &FuzzCase, prog: &Program, ctx: &PropCtx) -> P
                 &prog.instance,
                 theory,
                 &mut prog.voc.clone(),
-                chase_config(ctx, ChaseVariant::Restricted, ChaseStrategy::SemiNaive),
+                chase_config(ctx, ChaseVariant::Restricted),
                 &sink,
             );
             (res, sink.counters(), sink.event_counts())
@@ -414,37 +396,6 @@ fn chase_thread_invariance(_case: &FuzzCase, prog: &Program, ctx: &PropCtx) -> P
         ensure_eq(base.0.status, other.0.status, &format!("{threads} threads: status"))?;
         ensure_eq(base.1.clone(), other.1, &format!("{threads} threads: obs counters"))?;
         ensure_eq(base.2.clone(), other.2, &format!("{threads} threads: obs event counts"))?;
-    }
-    Ok(())
-}
-
-/// `join_kernel_vs_tuple_oracle`: the batched hash-join kernel
-/// ([`JoinMode::Batch`]) produces exactly the chase the tuple-at-a-time
-/// engine produces — same instance, depth map, round count, status and
-/// per-round body-match counts — over every variant × strategy. The
-/// mutation runs on the batch side.
-fn join_kernel_vs_tuple_oracle(_case: &FuzzCase, prog: &Program, ctx: &PropCtx) -> PropResult {
-    let mutated = ctx.mutation.apply(&prog.theory);
-    for variant in [ChaseVariant::Restricted, ChaseVariant::Oblivious] {
-        for strategy in [ChaseStrategy::Naive, ChaseStrategy::SemiNaive] {
-            let cfg = chase_config(ctx, variant, strategy);
-            let tuple = with_join_mode(JoinMode::Tuple, || {
-                chase(&prog.instance, &prog.theory, &mut prog.voc.clone(), cfg)
-            });
-            let batch = with_join_mode(JoinMode::Batch, || {
-                chase(&prog.instance, &mutated, &mut prog.voc.clone(), cfg)
-            });
-            let what = format!("{variant:?}/{strategy:?} batch-vs-tuple");
-            ensure_same_instance(&tuple.instance, &batch.instance, &prog.voc, &what)?;
-            ensure_eq(tuple.depth_map(), batch.depth_map(), &format!("{what}: depth map"))?;
-            ensure_eq(tuple.rounds, batch.rounds, &format!("{what}: rounds"))?;
-            ensure_eq(tuple.status, batch.status, &format!("{what}: status"))?;
-            ensure_eq(
-                tuple.stats.body_matches_per_round.clone(),
-                batch.stats.body_matches_per_round.clone(),
-                &format!("{what}: per-round body matches"),
-            )?;
-        }
     }
     Ok(())
 }
@@ -522,7 +473,7 @@ fn rewrite_vs_chase(_case: &FuzzCase, prog: &Program, ctx: &PropCtx) -> PropResu
                 &prog.theory,
                 &mut voc.clone(),
                 &Ucq::single(cq.clone()),
-                chase_config(ctx, ChaseVariant::Restricted, ChaseStrategy::SemiNaive),
+                chase_config(ctx, ChaseVariant::Restricted),
             );
             if !chase_verdict.is_decided() {
                 continue;
@@ -693,7 +644,7 @@ fn serve_vs_scratch_chase(_case: &FuzzCase, prog: &Program, ctx: &PropCtx) -> Pr
                     &prog.theory,
                     &mut qvoc.clone(),
                     &queries[*qi],
-                    chase_config(ctx, ChaseVariant::Restricted, ChaseStrategy::SemiNaive),
+                    chase_config(ctx, ChaseVariant::Restricted),
                 );
                 let scratch = match outcome.certainty {
                     Certainty::True(_) => "true",
@@ -766,7 +717,7 @@ fn static_bound_vs_observed_rounds(_case: &FuzzCase, prog: &Program, ctx: &PropC
         &prog.instance,
         &prog.theory,
         &mut prog.voc.clone(),
-        chase_config(ctx, ChaseVariant::Restricted, ChaseStrategy::SemiNaive),
+        chase_config(ctx, ChaseVariant::Restricted),
     );
     match res.status {
         ChaseStatus::Fixpoint => {

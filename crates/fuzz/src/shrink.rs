@@ -196,7 +196,7 @@ mod tests {
     #[test]
     fn shrinks_known_bad_mutation_to_a_minimal_reproducer() {
         let ctx = PropCtx { mutation: Mutation::SkipLastRule, ..PropCtx::default() };
-        let prop = find_prop("chase_strategy_agreement").unwrap();
+        let prop = find_prop("chase_vs_reference").unwrap();
         let (case, msg) = (0..60)
             .find_map(|seed| {
                 let case = gen_case(seed);
@@ -222,7 +222,7 @@ mod tests {
     #[test]
     fn shrinking_is_deterministic() {
         let ctx = PropCtx { mutation: Mutation::SkipLastRule, ..PropCtx::default() };
-        let prop = find_prop("chase_strategy_agreement").unwrap();
+        let prop = find_prop("chase_vs_reference").unwrap();
         for seed in 0..60 {
             let case = gen_case(seed);
             let prog = case.program().unwrap();

@@ -9,7 +9,7 @@
 
 use bddfc::chase::{
     chase, chase_with, find_model, find_model_with, saturate_datalog, saturate_datalog_with,
-    ChaseConfig, ChaseResult, ChaseStrategy, ChaseVariant, FinderConfig,
+    ChaseConfig, ChaseResult, ChaseVariant, FinderConfig,
 };
 use bddfc::core::obs::Memory;
 use bddfc::core::par;
@@ -44,29 +44,22 @@ fn zoo_programs() -> Vec<(&'static str, Program)> {
 
 fn assert_chase_identical(name: &str, db: &Instance, theory: &Theory, voc: &Vocabulary) {
     for variant in [ChaseVariant::Restricted, ChaseVariant::Oblivious] {
-        for strategy in [ChaseStrategy::SemiNaive, ChaseStrategy::Naive] {
-            let config = ChaseConfig {
-                max_rounds: 4,
-                max_facts: 4_000,
-                variant,
-                strategy,
-            };
-            let run = |threads: usize| -> ChaseResult {
-                par::with_thread_count(threads, || chase(db, theory, &mut voc.clone(), config))
-            };
-            let base = run(THREADS[0]);
-            for &t in &THREADS[1..] {
-                let other = run(t);
-                let ctx = format!("{name}/{variant:?}/{strategy:?} at {t} threads");
-                assert_eq!(base.instance, other.instance, "{ctx}: instance");
-                assert_eq!(base.depth_map(), other.depth_map(), "{ctx}: depth map");
-                assert_eq!(base.rounds, other.rounds, "{ctx}: rounds");
-                assert_eq!(base.status, other.status, "{ctx}: status");
-                assert_eq!(
-                    base.stats.body_matches_per_round, other.stats.body_matches_per_round,
-                    "{ctx}: work counters"
-                );
-            }
+        let config = ChaseConfig { max_rounds: 4, max_facts: 4_000, variant };
+        let run = |threads: usize| -> ChaseResult {
+            par::with_thread_count(threads, || chase(db, theory, &mut voc.clone(), config))
+        };
+        let base = run(THREADS[0]);
+        for &t in &THREADS[1..] {
+            let other = run(t);
+            let ctx = format!("{name}/{variant:?} at {t} threads");
+            assert_eq!(base.instance, other.instance, "{ctx}: instance");
+            assert_eq!(base.depth_map(), other.depth_map(), "{ctx}: depth map");
+            assert_eq!(base.rounds, other.rounds, "{ctx}: rounds");
+            assert_eq!(base.status, other.status, "{ctx}: status");
+            assert_eq!(
+                base.stats.body_matches_per_round, other.stats.body_matches_per_round,
+                "{ctx}: work counters"
+            );
         }
     }
 }

@@ -149,9 +149,9 @@ fn list_props_names_the_registry() {
     assert_eq!(out.status.code(), Some(0));
     let text = stdout_of(&out);
     for name in [
-        "chase_strategy_agreement",
+        "chase_vs_reference",
         "chase_restricted_embeds",
-        "chase_certainty_strategy_blind",
+        "certainty_vs_reference",
         "chase_thread_invariance",
         "classes_witness_oracle",
         "rewrite_vs_chase",

@@ -5,7 +5,7 @@
 use bddfc::core::par;
 use bddfc_fuzz::check_case;
 use bddfc_fuzz::gen::{gen_case, random_program, Strat};
-use bddfc_fuzz::props::{Mutation, PropCtx, PROPS};
+use bddfc_fuzz::props::{find_prop, Mutation, PropCtx, PROPS};
 use bddfc_fuzz::proptest_lite::{ensure, run_prop};
 use bddfc_fuzz::shrink::{shrink, DEFAULT_MAX_EVALS};
 
@@ -92,4 +92,15 @@ fn shrinker_outputs_still_fail_and_still_parse() {
         }
         assert!(found >= 1, "mutation {mutation:?} was never caught in 300 seeds");
     }
+}
+
+/// Mutation coverage of the engine-vs-reference property on its own: a
+/// chase that forgets the theory's last rule must be caught by
+/// `chase_vs_reference` itself, not merely by some property.
+#[test]
+fn chase_vs_reference_catches_skip_last_rule() {
+    let prop = find_prop("chase_vs_reference").expect("registered");
+    let ctx = PropCtx { mutation: Mutation::SkipLastRule, ..PropCtx::default() };
+    let caught = (0..300u64).find(|&seed| check_case(&gen_case(seed), prop, &ctx).is_err());
+    assert!(caught.is_some(), "chase_vs_reference missed skip-last-rule in seeds 0..300");
 }
