@@ -68,6 +68,18 @@ diff -u "$atmp/analyze.1.json" "$atmp/analyze.2.json"
 diff -u "$atmp/analyze.1.json" "$atmp/analyze.7.json"
 rm -rf "$atmp"
 
+echo "==> bddfc-prof --workload e13 --check byte-identity across BDDFC_THREADS {1,2,7}"
+# The chase is the only engine that reads the thread count; its
+# telemetry self-check must not depend on it.
+ptmp=$(mktemp -d)
+for n in 1 2 7; do
+    BDDFC_THREADS=$n cargo run -q --release -p bddfc-bench --bin bddfc-prof -- \
+        --workload e13 --check > "$ptmp/prof.$n.txt"
+done
+diff -u "$ptmp/prof.1.txt" "$ptmp/prof.2.txt"
+diff -u "$ptmp/prof.1.txt" "$ptmp/prof.7.txt"
+rm -rf "$ptmp"
+
 echo "==> bddfc-fuzz --replay tests/corpus (committed differential corpus)"
 cargo run -q --release -p bddfc-fuzz --bin bddfc-fuzz -- --replay tests/corpus
 

@@ -19,7 +19,6 @@
 
 use bddfc_core::fxhash::FxHashSet;
 use bddfc_core::obs::{Event, EventSink, SpanTimer, NULL};
-use bddfc_core::par;
 use bddfc_core::satisfaction::theory_violations;
 use bddfc_core::{hom, ConjunctiveQuery, ConstId, Fact, Instance, Term, Theory, VarId, Vocabulary};
 
@@ -28,7 +27,8 @@ use bddfc_core::{hom, ConjunctiveQuery, ConstId, Fact, Instance, Term, Theory, V
 pub struct FinderConfig {
     /// Maximum number of domain elements in the model.
     pub max_size: usize,
-    /// Maximum number of DFS nodes to expand before giving up.
+    /// Maximum number of DFS nodes the whole search expands before giving
+    /// up with [`SearchOutcome::Budget`].
     pub max_nodes: u64,
 }
 
@@ -69,11 +69,6 @@ struct Finder<'a> {
     max_size: usize,
     nodes_left: u64,
     visited: FxHashSet<Vec<Fact>>,
-    /// When this search runs as top-level branch `idx` of a parallel
-    /// [`find_model`], the shared short-circuit flag. A branch abandons
-    /// only once a *strictly earlier* branch has found a model — its own
-    /// result is then discarded, so abandoning cannot change the outcome.
-    cancel: Option<(&'a par::Cancel, usize)>,
 }
 
 enum Dfs {
@@ -90,11 +85,6 @@ impl Finder<'_> {
     }
 
     fn dfs(&mut self, inst: &Instance) -> Dfs {
-        if let Some((cancel, idx)) = self.cancel {
-            if cancel.superseded(idx) {
-                return Dfs::Exhausted; // discarded by the combiner anyway
-            }
-        }
         if self.nodes_left == 0 {
             return Dfs::Budget;
         }
@@ -119,6 +109,9 @@ impl Finder<'_> {
             if let Some(&fresh) = self.pool.iter().find(|c| !inst.in_domain(**c)) {
                 domain.push(fresh);
             }
+        }
+        if !ex.is_empty() && domain.is_empty() {
+            return Dfs::Exhausted; // no element can witness the violation
         }
 
         // Enumerate all assignments of `ex` to candidates.
@@ -181,13 +174,9 @@ impl Finder<'_> {
 /// Searches for a finite model `M ⊇ db`, `M ⊨ theory`, `M ⊭ forbidden`
 /// with at most `config.max_size` elements.
 ///
-/// The root node is expanded sequentially; its child branches are
-/// independent searches (each with a fresh memo table and a node budget of
-/// `max_nodes - 1`) and explore on separate threads. The branch list is in
-/// the canonical odometer order and the combiner reports the
-/// lowest-index found model, so the outcome is identical at any thread
-/// count: every branch below the winner always runs to completion, and a
-/// branch's verdict is a pure function of its instance and budget.
+/// One sequential DFS with one memo table and one node budget: children
+/// are explored in the canonical odometer order and the first model
+/// found is returned, so the outcome is a pure function of the inputs.
 pub fn find_model(
     db: &Instance,
     theory: &Theory,
@@ -199,12 +188,9 @@ pub fn find_model(
 }
 
 /// Like [`find_model`], but reports one `finder`/`search` event into
-/// `sink` when the search concludes. Fields: `branches` (root branches
-/// opened), `cancelled` (branches whose results the lowest-winner rule
-/// discards, i.e. those after the winning index — a deterministic count,
-/// unlike the timing-dependent mid-run cancellations), `winner` (1-based
-/// winning branch index, 0 if none), `found`, `budget_hit`; gauges:
-/// `wall_ns`, `threads`.
+/// `sink` when the search concludes. Fields: `nodes` (DFS nodes
+/// expanded, at most `max_nodes`), `found`, `budget_hit`; gauge:
+/// `wall_ns`.
 pub fn find_model_with<S: EventSink>(
     db: &Instance,
     theory: &Theory,
@@ -215,156 +201,36 @@ pub fn find_model_with<S: EventSink>(
 ) -> SearchOutcome {
     let timer = SpanTimer::start();
     let span = if S::ENABLED { sink.span_open("finder", "search", 0, None) } else { 0 };
-    let (outcome, branches, winner) = find_model_impl(db, theory, voc, forbidden, config);
+    let pool_size = config.max_size.saturating_sub(db.domain_size());
+    let mut finder = Finder {
+        theory,
+        forbidden,
+        pool: (0..pool_size).map(|_| voc.fresh_null("w")).collect(),
+        max_size: config.max_size,
+        nodes_left: config.max_nodes,
+        visited: FxHashSet::default(),
+    };
+    let outcome = match finder.dfs(db) {
+        Dfs::Found(m) => SearchOutcome::Found(m),
+        Dfs::Exhausted => SearchOutcome::NoModelWithin(config.max_size),
+        Dfs::Budget => SearchOutcome::Budget,
+    };
     if S::ENABLED {
-        let cancelled = winner.map_or(0, |w| branches.saturating_sub(w as u64 + 1));
         sink.record(Event {
             engine: "finder",
             name: "search",
             parent: span,
             key: None,
             fields: &[
-                ("branches", branches),
-                ("cancelled", cancelled),
-                ("winner", winner.map_or(0, |w| w as u64 + 1)),
+                ("nodes", config.max_nodes - finder.nodes_left),
                 ("found", u64::from(matches!(outcome, SearchOutcome::Found(_)))),
                 ("budget_hit", u64::from(matches!(outcome, SearchOutcome::Budget))),
             ],
-            gauges: &[
-                ("wall_ns", timer.elapsed_ns()),
-                ("threads", par::num_threads() as u64),
-            ],
+            gauges: &[("wall_ns", timer.elapsed_ns())],
         });
         sink.span_close(span);
     }
     outcome
-}
-
-/// The search body shared by [`find_model`] and [`find_model_with`];
-/// besides the outcome it reports how many root branches were opened and
-/// which one (if any) produced the winning model.
-fn find_model_impl(
-    db: &Instance,
-    theory: &Theory,
-    voc: &mut Vocabulary,
-    forbidden: Option<&ConjunctiveQuery>,
-    config: FinderConfig,
-) -> (SearchOutcome, u64, Option<usize>) {
-    let base_elems = db.domain_size();
-    let pool_size = config.max_size.saturating_sub(base_elems);
-    let pool: Vec<ConstId> = (0..pool_size).map(|_| voc.fresh_null("w")).collect();
-
-    // Expand the root by hand — one `dfs` step's worth of budget and the
-    // same child enumeration — so the branches can fan out.
-    if config.max_nodes == 0 {
-        return (SearchOutcome::Budget, 0, None);
-    }
-    if let Some(q) = forbidden {
-        if hom::satisfies_cq(db, q) {
-            return (SearchOutcome::NoModelWithin(config.max_size), 0, None);
-        }
-    }
-    let violations = theory_violations(db, theory);
-    let Some(violation) = violations.first() else {
-        return (SearchOutcome::Found(db.clone()), 0, None);
-    };
-    let rule = &theory.rules[violation.rule_idx];
-    let mut ex: Vec<VarId> = rule.existential_vars().into_iter().collect();
-    ex.sort_unstable();
-
-    // Candidate witnesses: every current domain element, plus the first
-    // unused pool element (fresh elements are interchangeable).
-    let mut domain = db.sorted_domain();
-    if domain.len() < config.max_size {
-        if let Some(&fresh) = pool.iter().find(|c| !db.in_domain(**c)) {
-            domain.push(fresh);
-        }
-    }
-
-    // Enumerate the root's children in canonical odometer order,
-    // deduplicated among themselves.
-    let mut branches: Vec<Instance> = Vec::new();
-    if !ex.is_empty() && domain.is_empty() {
-        return (SearchOutcome::NoModelWithin(config.max_size), 0, None);
-    }
-    let mut seen: FxHashSet<Vec<Fact>> = FxHashSet::default();
-    let mut assignment = vec![0usize; ex.len()];
-    loop {
-        let mut binding = violation.binding.clone();
-        for (i, &v) in ex.iter().enumerate() {
-            binding.insert(v, domain[assignment[i]]);
-        }
-        let mut next = db.clone();
-        let mut ok = true;
-        for atom in &rule.head {
-            let grounded = atom.apply(&|v| binding.get(&v).map(|&c| Term::Const(c)));
-            match grounded.to_fact() {
-                Some(f) => {
-                    next.insert(f);
-                }
-                None => ok = false,
-            }
-        }
-        if ok && next.domain_size() <= config.max_size && seen.insert(Finder::canonical_key(&next))
-        {
-            branches.push(next);
-        }
-        // Advance the odometer; empty `ex` means a single iteration.
-        if ex.is_empty() {
-            break;
-        }
-        let mut i = 0;
-        loop {
-            assignment[i] += 1;
-            if assignment[i] < domain.len() {
-                break;
-            }
-            assignment[i] = 0;
-            i += 1;
-            if i == ex.len() {
-                break;
-            }
-        }
-        if i == ex.len() {
-            break;
-        }
-    }
-
-    let branch_budget = config.max_nodes - 1;
-    let outcomes: Vec<Dfs> = par::par_map_cancel(&branches, |idx, inst, cancel| {
-        let mut finder = Finder {
-            theory,
-            forbidden,
-            pool: pool.clone(),
-            max_size: config.max_size,
-            nodes_left: branch_budget,
-            visited: FxHashSet::default(),
-            cancel: Some((cancel, idx)),
-        };
-        let out = finder.dfs(inst);
-        if matches!(out, Dfs::Found(_)) {
-            cancel.win(idx);
-        }
-        out
-    });
-
-    // Combine exactly as the sequential child loop did: the first found
-    // model wins; a budget hit anywhere else taints exhaustion.
-    let opened = branches.len() as u64;
-    let mut budget_hit = false;
-    for (idx, out) in outcomes.into_iter().enumerate() {
-        match out {
-            Dfs::Found(m) => return (SearchOutcome::Found(m), opened, Some(idx)),
-            Dfs::Budget => budget_hit = true,
-            Dfs::Exhausted => {}
-        }
-    }
-    let outcome = if budget_hit {
-        SearchOutcome::Budget
-    } else {
-        SearchOutcome::NoModelWithin(config.max_size)
-    };
-    (outcome, opened, None)
 }
 
 /// Convenience wrapper asking the FC question at a fixed size: is there a
@@ -477,31 +343,58 @@ mod tests {
         assert!(satisfies_theory(m, &prog.theory));
     }
 
-    #[test]
-    fn sink_reports_branches_and_winner() {
+    /// Runs the search (forbidding the program's first query, if any)
+    /// with a recording sink and returns the outcome and the reported
+    /// `nodes` count.
+    fn search_nodes(src: &str, config: FinderConfig) -> (SearchOutcome, u64) {
         use bddfc_core::obs::Memory;
-        let prog = parse_program("E(X,Y) -> exists Z . E(Y,Z). E(a,b).").unwrap();
+        let prog = parse_program(src).unwrap();
         let sink = Memory::new(8);
         let mut voc = prog.voc.clone();
-        let out = find_model_with(
-            &prog.instance,
-            &prog.theory,
-            &mut voc,
-            None,
-            FinderConfig::size(3),
-            &sink,
-        );
-        assert!(out.model().is_some());
+        let forbidden = prog.queries.first();
+        let out =
+            find_model_with(&prog.instance, &prog.theory, &mut voc, forbidden, config, &sink);
         assert_eq!(sink.event_counts(), vec![(("finder", "search"), 1)]);
-        assert_eq!(sink.counter("finder", "search", "found"), 1);
-        let branches = sink.counter("finder", "search", "branches");
-        let winner = sink.counter("finder", "search", "winner");
-        let cancelled = sink.counter("finder", "search", "cancelled");
-        assert!(branches >= 1);
-        assert!(winner >= 1 && winner <= branches);
-        // Deterministic definition: everything after the winner counts as
-        // cancelled, regardless of actual mid-run timing.
-        assert_eq!(cancelled, branches - winner);
+        let found = u64::from(out.model().is_some());
+        assert_eq!(sink.counter("finder", "search", "found"), found);
+        (out, sink.counter("finder", "search", "nodes"))
+    }
+
+    #[test]
+    fn node_budget_bounds_the_whole_search() {
+        // The root violation E(b,Z) has three repair branches at size 3:
+        // Z = a, Z = b or one fresh element. The first two close a
+        // forbidden 2-cycle or loop, so only the third branch, a 3-cycle,
+        // leads to a model: the budget must cover all three branches.
+        let src = "E(X,Y) -> exists Z . E(Y,Z). E(a,b). ?- E(X,Y), E(Y,X).";
+        let prog = parse_program(src).unwrap();
+        let root = &theory_violations(&prog.instance, &prog.theory)[0];
+        assert_eq!(prog.theory.rules[root.rule_idx].existential_vars().len(), 1);
+        assert_eq!(prog.instance.domain_size(), 2);
+        let (out, needed) = search_nodes(src, FinderConfig::size(3));
+        assert_eq!(out.model().map(Instance::domain_size), Some(3));
+        assert!(needed > 4, "the root and all three branches are expanded");
+        for max_nodes in [0, 1, 2, needed - 1, needed, needed + 10] {
+            let (out, nodes) = search_nodes(src, FinderConfig { max_size: 3, max_nodes });
+            assert!(nodes <= max_nodes, "expanded {nodes} nodes at max_nodes = {max_nodes}");
+            if max_nodes < needed {
+                assert_eq!(out, SearchOutcome::Budget, "max_nodes = {max_nodes}");
+                assert_eq!(nodes, max_nodes);
+            } else {
+                assert!(out.model().is_some());
+                assert_eq!(nodes, needed);
+            }
+        }
+    }
+
+    #[test]
+    fn empty_candidate_domain_below_the_root_is_exhausted() {
+        // The root has no existential violation; its child needs a
+        // witness for Z, but size 0 leaves no candidate element.
+        let prog = parse_program("A() -> B(). B() -> exists Z . C(Z). A().").unwrap();
+        let mut voc = prog.voc.clone();
+        let out = find_model(&prog.instance, &prog.theory, &mut voc, None, FinderConfig::size(0));
+        assert_eq!(out, SearchOutcome::NoModelWithin(0));
     }
 
     #[test]

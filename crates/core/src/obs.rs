@@ -794,13 +794,13 @@ mod tests {
     fn memory_log_is_bounded_but_counters_are_not() {
         let sink = Memory::new(2);
         for i in 0..5 {
-            sink.record(ev("finder", "search", &[("branches", i)], &[]));
+            sink.record(ev("finder", "search", &[("nodes", i)], &[]));
         }
         assert_eq!(sink.events().len(), 2);
         assert_eq!(sink.dropped(), 3);
         assert_eq!(sink.len(), 5);
         // 0+1+2+3+4: the counter saw every event.
-        assert_eq!(sink.counter("finder", "search", "branches"), 10);
+        assert_eq!(sink.counter("finder", "search", "nodes"), 10);
     }
 
     #[test]

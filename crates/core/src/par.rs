@@ -1,14 +1,16 @@
 //! A deterministic fork-join layer over `std::thread::scope`.
 //!
-//! Every hot loop in the workspace — trigger enumeration in the chase,
-//! canonical-query evaluation in the type analyzer, piece-unification
-//! fan-out in the rewriter, branch exploration in the model finder — is
-//! embarrassingly parallel over independent work items, but the paper's
-//! semantics (canonical repair order, reproducible null names) demand
-//! *observational determinism*: a caller's output must be bit-identical
-//! at any thread count. The hermetic-build policy (DESIGN.md) rules out
-//! rayon, so this module provides the minimal fork-join vocabulary on
-//! the standard library alone.
+//! Its one client is the chase engine (`bddfc_chase::engine`): trigger
+//! enumeration and witness checks are embarrassingly parallel over
+//! independent work items, and they are the only call sites with a
+//! speedup bench (`chase_thread_speedup` in `chase_bench`). The type
+//! analyzer, the rewriter and the model finder run sequentially: on
+//! their inputs the spawns cost more than the work they share. The
+//! paper's semantics (canonical repair order, reproducible null names)
+//! demand *observational determinism*: a caller's output must be
+//! bit-identical at any thread count. The hermetic-build policy
+//! (DESIGN.md) rules out rayon, so this module provides the minimal
+//! fork-join vocabulary on the standard library alone.
 //!
 //! ## The shard-then-merge contract
 //!
@@ -42,7 +44,6 @@
 use std::cell::Cell;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Upper bound on the default thread count when `BDDFC_THREADS` is not
 /// set. Explicit settings may exceed it.
@@ -160,57 +161,6 @@ where
     out
 }
 
-/// A cooperative early-exit handle for [`par_map_cancel`]: records the
-/// lowest item index that has produced a "winning" result, so workers on
-/// strictly later items can abandon work whose result is guaranteed to
-/// be discarded.
-pub struct Cancel {
-    min_won: AtomicUsize,
-}
-
-impl Cancel {
-    fn new() -> Self {
-        Cancel { min_won: AtomicUsize::new(usize::MAX) }
-    }
-
-    /// Declares that the item at `idx` produced a winning result.
-    pub fn win(&self, idx: usize) {
-        self.min_won.fetch_min(idx, Ordering::Relaxed);
-    }
-
-    /// May the item at `idx` stop early? True iff a *strictly earlier*
-    /// item has already won — the later item's result can never be the
-    /// canonical winner, so abandoning it cannot change any output
-    /// derived through the lowest-winner rule.
-    pub fn superseded(&self, idx: usize) -> bool {
-        self.min_won.load(Ordering::Relaxed) < idx
-    }
-}
-
-/// Like [`par_map`], but `f` additionally receives the item's index and
-/// a shared [`Cancel`] handle. Callers that select the lowest-index
-/// winning result get sequential-equivalent output at any thread count:
-/// a worker may only bail out once an earlier item has won, and such a
-/// worker's result is discarded by the lowest-winner rule anyway.
-pub fn par_map_cancel<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T, &Cancel) -> R + Sync,
-{
-    let cancel = Cancel::new();
-    let shards = par_chunks(items.len(), |range| {
-        range
-            .map(|i| f(i, &items[i], &cancel))
-            .collect::<Vec<R>>()
-    });
-    let mut out = Vec::with_capacity(items.len());
-    for shard in shards {
-        out.extend(shard);
-    }
-    out
-}
-
 /// Spawns one scoped thread per range, pins workers to one thread (so
 /// nested `par_*` calls run sequentially), joins them all, and resumes
 /// the first panic (in shard order) if any worker panicked.
@@ -259,7 +209,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn parse_threads_accepts_positive_integers() {
@@ -295,7 +244,6 @@ mod tests {
                 assert!(par_map(&empty, |&x: &u32| x).is_empty());
                 let shards = par_chunks(0, |r| r.len());
                 assert_eq!(shards.iter().sum::<usize>(), 0);
-                assert!(par_map_cancel(&empty, |_, &x: &u32, _| x).is_empty());
             });
         }
     }
@@ -365,36 +313,6 @@ mod tests {
             with_thread_count(3, || panic!("unwind through the guard"))
         });
         assert_eq!(num_threads(), before);
-    }
-
-    #[test]
-    fn cancel_only_discardable_work_is_skipped() {
-        // Item 2 wins; items > 2 may observe supersession, items ≤ 2
-        // never do. The lowest winner is stable at any thread count.
-        for threads in [1, 2, 7] {
-            let skipped = AtomicU64::new(0);
-            let items: Vec<usize> = (0..50).collect();
-            let out = with_thread_count(threads, || {
-                par_map_cancel(&items, |i, _, cancel| {
-                    if cancel.superseded(i) {
-                        assert!(i > 2, "items at or before the winner never bail");
-                        skipped.fetch_add(1, Ordering::Relaxed);
-                        return None;
-                    }
-                    if i == 2 || i == 30 {
-                        cancel.win(i);
-                        return Some(i);
-                    }
-                    None
-                })
-            });
-            let winner = out
-                .iter()
-                .enumerate()
-                .find_map(|(i, r)| r.map(|v| (i, v)))
-                .expect("a winner exists");
-            assert_eq!(winner, (2, 2), "threads = {threads}");
-        }
     }
 
     #[test]

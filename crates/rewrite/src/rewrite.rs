@@ -16,7 +16,6 @@ use crate::subsume::{insert_minimal, insert_minimal_counted, SubsumeStats};
 use crate::unify::{unify_with_all, Subst};
 use bddfc_core::fxhash::{FxHashMap, FxHashSet};
 use bddfc_core::obs::{Event, EventSink, SpanTimer, NULL};
-use bddfc_core::par;
 use bddfc_core::{Atom, ConjunctiveQuery, Rule, Term, Theory, Ucq, VarId, Vocabulary};
 
 /// Budgets for a rewriting run.
@@ -188,12 +187,10 @@ fn subsets(candidates: &[usize], cap: usize) -> Vec<Vec<usize>> {
 ///
 /// Backward chaining proceeds generation by generation (the same order
 /// the former FIFO queue visited). Per generation, the rules are renamed
-/// apart once sequentially (the vocabulary is mutable state); expanding
-/// each frontier disjunct is then read-only and fans out across threads,
-/// every item emitting its candidates in canonical (rule, piece) order.
-/// Subsumption minimization and the step/disjunct budgets apply on the
-/// merged batch, sequentially, so the retained UCQ is identical at any
-/// thread count.
+/// apart once, every frontier disjunct is expanded into its candidates
+/// in canonical (rule, piece) order, and only then are the candidates
+/// admitted in frontier order under subsumption minimization and the
+/// step/disjunct budgets.
 pub fn rewrite_query(
     query: &ConjunctiveQuery,
     theory: &Theory,
@@ -263,8 +260,8 @@ fn frontier_key(q: &ConjunctiveQuery) -> Vec<u64> {
 /// processed), `inserted` (candidates that survived subsumption),
 /// `subsume_pairs` / `prefilter_rejects` / `hom_checks` (the prefilter
 /// hit rate is `prefilter_rejects / subsume_pairs`), `steps_total` and
-/// `disjuncts_total` (budget consumption), `budget_truncated`; gauges:
-/// `wall_ns`, `threads`. Generations cut short by a budget still emit
+/// `disjuncts_total` (budget consumption), `budget_truncated`; gauge:
+/// `wall_ns`. Generations cut short by a budget still emit
 /// their event before returning.
 pub fn rewrite_query_with<S: EventSink>(
     query: &ConjunctiveQuery,
@@ -276,10 +273,10 @@ pub fn rewrite_query_with<S: EventSink>(
     if !theory.is_single_head() {
         return None;
     }
-    // Per-frontier-item attribution: piece-unification attempts and
+    // Per-generation attribution: piece-unification attempts and
     // produced rewritings per rule and per piece size, plus per-rule
     // wall time. Only built when a recording sink is installed.
-    struct ItemAttr {
+    struct GenAttr {
         rule_tried: Vec<u64>,
         rule_produced: Vec<u64>,
         rule_ns: Vec<u64>,
@@ -317,116 +314,88 @@ pub fn rewrite_query_with<S: EventSink>(
             0
         };
         let renamed: Vec<Rule> = theory.rules.iter().map(|r| r.rename_apart(voc)).collect();
-        let expansions: Vec<(Vec<ConjunctiveQuery>, Option<ItemAttr>)> =
-            par::par_map(&frontier, |(q, _)| {
-                let mut out = Vec::new();
-                let mut attr = if S::ENABLED {
-                    Some(ItemAttr {
-                        rule_tried: vec![0; renamed.len()],
-                        rule_produced: vec![0; renamed.len()],
-                        rule_ns: vec![0; renamed.len()],
-                        piece_tried: vec![0; config.max_piece + 1],
-                        piece_produced: vec![0; config.max_piece + 1],
-                    })
-                } else {
-                    None
-                };
-                for (rule_idx, rule) in renamed.iter().enumerate() {
-                    let rule_timer = if S::ENABLED { Some(SpanTimer::start()) } else { None };
-                    let head_pred = rule.head[0].pred;
-                    let candidates: Vec<usize> = q
-                        .atoms
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, a)| a.pred == head_pred)
-                        .map(|(i, _)| i)
-                        .collect();
-                    // Datalog heads have no existential positions, so unifying
-                    // two query atoms with the head at once only *specializes* a
-                    // singleton-piece rewriting — singletons are complete and
-                    // avoid the subset blow-up. Existential heads genuinely need
-                    // multi-atom pieces (atoms sharing a witness variable).
-                    let piece_cap = if rule.is_datalog() { 1 } else { config.max_piece };
-                    for piece in subsets(&candidates, piece_cap) {
-                        let rewritten = rewrite_step(q, rule, &piece);
-                        if let Some(a) = attr.as_mut() {
-                            let size = piece.len().min(config.max_piece);
-                            a.rule_tried[rule_idx] += 1;
-                            a.piece_tried[size] += 1;
-                            if rewritten.is_some() {
-                                a.rule_produced[rule_idx] += 1;
-                                a.piece_produced[size] += 1;
-                            }
-                        }
-                        if let Some(new_q) = rewritten {
-                            out.push(new_q);
+        let mut attr = S::ENABLED.then(|| GenAttr {
+            rule_tried: vec![0; renamed.len()],
+            rule_produced: vec![0; renamed.len()],
+            rule_ns: vec![0; renamed.len()],
+            piece_tried: vec![0; config.max_piece + 1],
+            piece_produced: vec![0; config.max_piece + 1],
+        });
+        // Expand the whole frontier first, then admit in frontier order.
+        let mut expansions: Vec<Vec<ConjunctiveQuery>> = Vec::with_capacity(frontier.len());
+        for (q, _) in &frontier {
+            let mut out = Vec::new();
+            for (rule_idx, rule) in renamed.iter().enumerate() {
+                let rule_timer = if S::ENABLED { Some(SpanTimer::start()) } else { None };
+                let head_pred = rule.head[0].pred;
+                let candidates: Vec<usize> = q
+                    .atoms
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, a)| a.pred == head_pred)
+                    .map(|(i, _)| i)
+                    .collect();
+                // Datalog heads have no existential positions, so unifying
+                // two query atoms with the head at once only *specializes* a
+                // singleton-piece rewriting — singletons are complete and
+                // avoid the subset blow-up. Existential heads genuinely need
+                // multi-atom pieces (atoms sharing a witness variable).
+                let piece_cap = if rule.is_datalog() { 1 } else { config.max_piece };
+                for piece in subsets(&candidates, piece_cap) {
+                    let rewritten = rewrite_step(q, rule, &piece);
+                    if let Some(a) = attr.as_mut() {
+                        let size = piece.len().min(config.max_piece);
+                        a.rule_tried[rule_idx] += 1;
+                        a.piece_tried[size] += 1;
+                        if rewritten.is_some() {
+                            a.rule_produced[rule_idx] += 1;
+                            a.piece_produced[size] += 1;
                         }
                     }
-                    if let (Some(a), Some(t)) = (attr.as_mut(), rule_timer) {
-                        a.rule_ns[rule_idx] += t.elapsed_ns();
+                    if let Some(new_q) = rewritten {
+                        out.push(new_q);
                     }
                 }
-                (out, attr)
-            });
-        let (expansions, item_attrs): (Vec<Vec<ConjunctiveQuery>>, Vec<Option<ItemAttr>>) =
-            expansions.into_iter().unzip();
-        if S::ENABLED {
-            // Merge the per-item attribution (par_map preserves frontier
-            // order, so the merge — and every count — is deterministic)
-            // and emit per-rule / per-piece-size events under this
-            // generation's span.
-            let mut merged: Option<ItemAttr> = None;
-            for a in item_attrs.into_iter().flatten() {
-                match merged.as_mut() {
-                    None => merged = Some(a),
-                    Some(m) => {
-                        for (dst, src) in [
-                            (&mut m.rule_tried, &a.rule_tried),
-                            (&mut m.rule_produced, &a.rule_produced),
-                            (&mut m.rule_ns, &a.rule_ns),
-                            (&mut m.piece_tried, &a.piece_tried),
-                            (&mut m.piece_produced, &a.piece_produced),
-                        ] {
-                            for (d, &s) in dst.iter_mut().zip(src) {
-                                *d += s;
-                            }
-                        }
-                    }
+                if let (Some(a), Some(t)) = (attr.as_mut(), rule_timer) {
+                    a.rule_ns[rule_idx] += t.elapsed_ns();
                 }
             }
-            if let Some(m) = merged {
-                for rule_idx in 0..m.rule_tried.len() {
-                    if m.rule_tried[rule_idx] == 0 {
-                        continue;
-                    }
-                    sink.record(Event {
-                        engine: "rewrite",
-                        name: "rule",
-                        parent: gen_span,
-                        key: Some(("rule", rule_idx as u64)),
-                        fields: &[
-                            ("pieces_tried", m.rule_tried[rule_idx]),
-                            ("rewrites", m.rule_produced[rule_idx]),
-                        ],
-                        gauges: &[("wall_ns", m.rule_ns[rule_idx])],
-                    });
+            expansions.push(out);
+        }
+        // Emit per-rule / per-piece-size events under this generation's
+        // span.
+        if let Some(m) = attr {
+            for rule_idx in 0..m.rule_tried.len() {
+                if m.rule_tried[rule_idx] == 0 {
+                    continue;
                 }
-                for size in 0..m.piece_tried.len() {
-                    if m.piece_tried[size] == 0 {
-                        continue;
-                    }
-                    sink.record(Event {
-                        engine: "rewrite",
-                        name: "piece",
-                        parent: gen_span,
-                        key: Some(("piece", size as u64)),
-                        fields: &[
-                            ("tried", m.piece_tried[size]),
-                            ("rewrites", m.piece_produced[size]),
-                        ],
-                        gauges: &[],
-                    });
+                sink.record(Event {
+                    engine: "rewrite",
+                    name: "rule",
+                    parent: gen_span,
+                    key: Some(("rule", rule_idx as u64)),
+                    fields: &[
+                        ("pieces_tried", m.rule_tried[rule_idx]),
+                        ("rewrites", m.rule_produced[rule_idx]),
+                    ],
+                    gauges: &[("wall_ns", m.rule_ns[rule_idx])],
+                });
+            }
+            for size in 0..m.piece_tried.len() {
+                if m.piece_tried[size] == 0 {
+                    continue;
                 }
+                sink.record(Event {
+                    engine: "rewrite",
+                    name: "piece",
+                    parent: gen_span,
+                    key: Some(("piece", size as u64)),
+                    fields: &[
+                        ("tried", m.piece_tried[size]),
+                        ("rewrites", m.piece_produced[size]),
+                    ],
+                    gauges: &[],
+                });
             }
         }
         let mut next = Vec::new();
@@ -483,10 +452,7 @@ pub fn rewrite_query_with<S: EventSink>(
                     ("disjuncts_total", disjuncts.len() as u64),
                     ("budget_truncated", u64::from(truncated)),
                 ],
-                gauges: &[
-                    ("wall_ns", timer.elapsed_ns()),
-                    ("threads", par::num_threads() as u64),
-                ],
+                gauges: &[("wall_ns", timer.elapsed_ns())],
             });
             sink.span_close(gen_span);
         }

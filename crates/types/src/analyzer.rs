@@ -33,7 +33,6 @@
 
 use bddfc_core::fxhash::{FxHashMap, FxHashSet};
 use bddfc_core::obs::{Event, EventSink, SpanTimer, NULL};
-use bddfc_core::par;
 use bddfc_core::{hom, Atom, Binding, ConstId, Instance, Term, VarId, Vocabulary};
 
 /// Precomputed machinery for positive-type queries over one structure.
@@ -317,13 +316,10 @@ impl<'a> TypeAnalyzer<'a> {
     /// determinism. Elements are pre-bucketed by a sound invariant so the
     /// quadratic pairwise phase only runs within buckets.
     ///
-    /// Bucket keys and the per-element representative comparisons are
-    /// read-only and computed in parallel. Class representatives are
-    /// pairwise inequivalent and `≡ₙ` is an equivalence relation, so at
-    /// most one representative can match any element — the parallel
-    /// comparisons cannot disagree with the sequential scan — and the
-    /// greedy merge itself runs sequentially over the sorted domain, so
-    /// class order and membership are thread-count-independent.
+    /// Each element joins the first of its bucket's class
+    /// representatives it is equivalent to. Representatives are pairwise
+    /// inequivalent and `≡ₙ` is an equivalence relation, so at most one
+    /// can match and the scan may stop there.
     pub fn partition(&self) -> Vec<Vec<ConstId>> {
         self.partition_with(&NULL)
     }
@@ -332,34 +328,29 @@ impl<'a> TypeAnalyzer<'a> {
     /// `analyzer`/`partition` summary event into `sink` when done.
     /// Fields: `elements` (domain size), `constants` (forced singleton
     /// classes), `buckets` (invariant buckets the quadratic phase was
-    /// confined to), `eq_checks` (pairwise `≡ₙ` representative
-    /// comparisons), `classes`; gauges: `wall_ns`, `threads`.
+    /// confined to), `eq_checks` (`≡ₙ` representative comparisons made;
+    /// each element's scan stops at its first match), `classes`; gauge:
+    /// `wall_ns`.
     pub fn partition_with<S: EventSink>(&self, sink: &S) -> Vec<Vec<ConstId>> {
         let timer = SpanTimer::start();
         let span = if S::ENABLED { sink.span_open("analyzer", "partition", 0, None) } else { 0 };
         let domain = self.inst.sorted_domain();
-        let keys: Vec<Option<Vec<u64>>> = par::par_map(&domain, |&d| {
-            if self.is_constant(d) {
-                None
-            } else {
-                Some(self.bucket_key(d))
-            }
-        });
         let mut classes: Vec<Vec<ConstId>> = Vec::new();
         let mut by_bucket: FxHashMap<Vec<u64>, Vec<usize>> = FxHashMap::default();
         let mut constants = 0u64;
         let mut eq_checks = 0u64;
-        for (&d, key) in domain.iter().zip(keys) {
-            let Some(key) = key else {
+        for &d in &domain {
+            if self.is_constant(d) {
                 constants += 1;
                 classes.push(vec![d]);
                 continue;
-            };
-            let candidates = by_bucket.entry(key).or_default();
-            let reps: Vec<ConstId> = candidates.iter().map(|&ci| classes[ci][0]).collect();
-            eq_checks += reps.len() as u64;
-            let hits = par::par_map(&reps, |&rep| self.equivalent(d, rep));
-            if let Some(pos) = hits.iter().position(|&hit| hit) {
+            }
+            let candidates = by_bucket.entry(self.bucket_key(d)).or_default();
+            let hit = candidates.iter().position(|&ci| {
+                eq_checks += 1;
+                self.equivalent(d, classes[ci][0])
+            });
+            if let Some(pos) = hit {
                 classes[candidates[pos]].push(d);
             } else {
                 candidates.push(classes.len());
@@ -379,10 +370,7 @@ impl<'a> TypeAnalyzer<'a> {
                     ("eq_checks", eq_checks),
                     ("classes", classes.len() as u64),
                 ],
-                gauges: &[
-                    ("wall_ns", timer.elapsed_ns()),
-                    ("threads", par::num_threads() as u64),
-                ],
+                gauges: &[("wall_ns", timer.elapsed_ns())],
             });
             sink.span_close(span);
         }

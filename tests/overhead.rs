@@ -17,11 +17,14 @@ use bddfc::chase::engine::chase_uninstrumented_baseline;
 use bddfc::chase::{chase, ChaseConfig};
 use bddfc::core::{parse_rule, Program, Theory, Vocabulary};
 use bddfc_serve::{transcript, ServeConfig, Server};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Serializes the timed sections: two timing tests racing each other
-/// for cores would measure contention, not overhead.
-static TIMING_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+/// for cores would measure contention, not overhead. A guard that fails
+/// poisons the lock; the other test recovers it, so each reports its own
+/// measurement.
+static TIMING_LOCK: Mutex<()> = Mutex::new(());
 
 /// Median-of-`n` wall time of `f`, after one warmup run.
 fn median_time<T>(n: usize, mut f: impl FnMut() -> T) -> Duration {
@@ -57,7 +60,7 @@ fn null_sink_chase_is_within_five_percent_of_uninstrumented_baseline() {
     let db = bddfc::zoo::random_graph(&mut voc, 60, 180, 13);
     let config = ChaseConfig { max_rounds: 8, max_facts: 200_000, ..Default::default() };
 
-    let _timing = TIMING_LOCK.lock().unwrap();
+    let _timing = TIMING_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
 
     // Sanity: both kernels compute the same instance before we time them.
     let instrumented = chase(&db, &theory, &mut voc.clone(), config);
@@ -114,7 +117,7 @@ fn serve_request_path_with_metrics_is_within_five_percent_of_disabled() {
     let script: String =
         "query E(v0,v1)\nquery E(v1,v0)\nquery E(v2,v3)\nquery E(v0,v0)\n".repeat(64);
 
-    let _timing = TIMING_LOCK.lock().unwrap();
+    let _timing = TIMING_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
 
     let on = Server::new(&program, ServeConfig::default());
     let off = Server::new(&program, ServeConfig { metrics: false, ..ServeConfig::default() });
