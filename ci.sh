@@ -144,4 +144,8 @@ echo "==> bddfc-fuzz static_bound_vs_observed_rounds (certificates vs the real c
 cargo run -q --release -p bddfc-fuzz --bin bddfc-fuzz -- \
     --seed 1 --budget-ms 5000 --prop static_bound_vs_observed_rounds
 
+echo "==> bddfc-fuzz type_partition_vs_reference (≡ₙ partition vs pairwise reference scan)"
+cargo run -q --release -p bddfc-fuzz --bin bddfc-fuzz -- \
+    --seed 1 --budget-ms 5000 --prop type_partition_vs_reference
+
 echo "ci: ok"

@@ -1,8 +1,12 @@
-//! Benches for the positive-type machinery (experiments E3, E4 and E14).
+//! Benches for the positive-type machinery (experiments E3, E4, E8 and
+//! E14).
 
 use bddfc_bench::bench;
-use bddfc_core::Vocabulary;
-use bddfc_types::{find_conservative_n, Quotient, TypeAnalyzer};
+use bddfc_chase::{chase, ChaseConfig};
+use bddfc_core::{parse_query, Instance, Vocabulary};
+use bddfc_finite::{hide_query, normalize_spade5, skeleton};
+use bddfc_rewrite::{kappa, RewriteConfig};
+use bddfc_types::{find_conservative_n, natural_coloring, Quotient, TypeAnalyzer};
 
 /// E14 — ≡ₙ partition cost vs. chain length and n.
 fn pebble_scaling() {
@@ -17,6 +21,34 @@ fn pebble_scaling() {
             });
         }
     }
+}
+
+/// The structure E8's certifier partitions on its decisive `example9`
+/// attempt (`F(X,X)`, prefix depth 12): the naturally colored skeleton of
+/// the normalized theory's chase prefix, 8,192 elements.
+fn example9_skeleton(voc: &mut Vocabulary) -> Instance {
+    let prog = bddfc_zoo::example9();
+    *voc = prog.voc.clone();
+    let query = parse_query("F(X,X)", voc).expect("E8 query parses");
+    let hidden = hide_query(&prog.theory, &query, voc);
+    let norm = normalize_spade5(&hidden.theory, voc).expect("example9 normalizes");
+    let m = kappa(&norm, voc, RewriteConfig::default()).expect("κ saturates").max(2);
+    let config = ChaseConfig { max_rounds: 12, max_facts: 200_000, ..Default::default() };
+    let prefix = chase(&prog.instance, &norm, voc, config).instance;
+    let skel = skeleton(&prefix, &prog.instance, &norm);
+    natural_coloring(&skel, voc, m).apply(&skel)
+}
+
+/// E8 — the `≡₂` partition of the `example9` skeleton, where most
+/// elements join their class by canonical-query signature.
+fn example9_partition() {
+    let mut voc = Vocabulary::new();
+    let inst = example9_skeleton(&mut voc);
+    assert_eq!(inst.domain_size(), 8_192, "E8's decisive example9 skeleton");
+    bench("partition/example9_skeleton/n2", 10, || {
+        let mut v = voc.clone();
+        TypeAnalyzer::new(&inst, &mut v, 2).partition().len()
+    });
 }
 
 /// E3 — quotient construction on the chain.
@@ -50,6 +82,7 @@ fn conservative_search() {
 fn main() {
     bddfc_bench::init_json("types");
     pebble_scaling();
+    example9_partition();
     quotient_chain();
     conservative_search();
 }

@@ -18,6 +18,7 @@
 //! | `lint_stability` | linting is deterministic and panic-free |
 //! | `serve_vs_scratch_chase` | bddfc-serve incremental sessions vs from-scratch chase of the folded base |
 //! | `static_bound_vs_observed_rounds` | bddfc-analyze termination certificates vs the real chase |
+//! | `type_partition_vs_reference` | `TypeAnalyzer::partition` vs the reference pairwise `≡ₙ` scan, on chased instances and natural-colored skeletons, `n ∈ {1,2,3}` |
 //!
 //! [`Mutation`] deliberately breaks one engine side — the seeded
 //! known-bad mutations behind `bddfc-fuzz --mutate` that prove the
@@ -42,9 +43,11 @@ use bddfc_core::{
     hom, par, Atom, Binding, ConjunctiveQuery, Fact, Instance, PredId, Program, Term, Theory,
     Ucq, Vocabulary,
 };
+use bddfc_finite::{normalize_spade5, skeleton};
 use bddfc_lint::lint_source;
 use bddfc_rewrite::{certainly_entailed_rewriting, RewriteConfig};
 use bddfc_serve::{transcript as serve_transcript, ServeConfig, Server};
+use bddfc_types::{natural_coloring, TypeAnalyzer};
 
 /// A deliberate, deterministic engine defect, injected on the
 /// *secondary* side of a differential pair (`bddfc-fuzz --mutate`).
@@ -184,6 +187,11 @@ pub static PROPS: &[Prop] = &[
         name: "static_bound_vs_observed_rounds",
         describe: "bddfc-analyze termination certificates dominate the observed chase",
         check: static_bound_vs_observed_rounds,
+    },
+    Prop {
+        name: "type_partition_vs_reference",
+        describe: "the type analyzer's ≡ₙ partition equals the reference pairwise scan",
+        check: type_partition_vs_reference,
     },
 ];
 
@@ -759,6 +767,48 @@ fn static_bound_vs_observed_rounds(_case: &FuzzCase, prog: &Program, ctx: &PropC
     }
     Ok(())
 }
+
+/// `type_partition_vs_reference`: [`TypeAnalyzer::partition`] equals
+/// [`reference::type_partition`] exactly (same classes, same order) for
+/// `n ∈ {1,2,3}`, on the case's restricted chase prefix and, when the
+/// theory has a (♠5) normal form, on the skeleton of the normalized
+/// theory's prefix under a natural coloring (`m = 2`): the structure the
+/// FC certifier partitions. Other skeletons are not colored, because the
+/// natural coloring is only cheap on (♠5) skeletons, whose nulls have one
+/// predecessor each. Prefixes are kept small: the reference compares
+/// every element with every class.
+fn type_partition_vs_reference(_case: &FuzzCase, prog: &Program, ctx: &PropCtx) -> PropResult {
+    let mut voc = prog.voc.clone();
+    let config = ChaseConfig {
+        max_rounds: ctx.max_rounds.min(4),
+        max_facts: ctx.max_facts.min(TYPE_PARTITION_FACTS),
+        variant: ChaseVariant::Restricted,
+    };
+    let prefix = chase(&prog.instance, &prog.theory, &mut voc, config).instance;
+    let mut structures = vec![("chase prefix", prefix)];
+    if let Ok(norm) = normalize_spade5(&prog.theory, &mut voc) {
+        let chased = chase(&prog.instance, &norm, &mut voc, config).instance;
+        let skel = skeleton(&chased, &prog.instance, &norm);
+        structures.push(("colored skeleton", natural_coloring(&skel, &mut voc, 2).apply(&skel)));
+    }
+    for (what, inst) in &structures {
+        for n in 1..=3 {
+            let expect = reference::type_partition(inst, &voc, n);
+            let got = TypeAnalyzer::new(inst, &mut voc, n).partition();
+            if got != expect {
+                return Err(format!(
+                    "{what}, n = {n}: partitions differ ({} classes vs the reference's {})",
+                    got.len(),
+                    expect.len()
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Fact cap of the chase prefix `type_partition_vs_reference` partitions.
+const TYPE_PARTITION_FACTS: usize = 300;
 
 /// `lint_stability`: linting the case source twice gives byte-identical
 /// reports (text and JSON) and never panics. (Panic-freedom is enforced

@@ -29,6 +29,10 @@
 //! only, so it counts one there. Each round also reports its naive
 //! work — every homomorphism it enumerated — which is what re-deriving
 //! every round from scratch costs.
+//!
+//! [`type_partition`] is the second oracle here: the `≡ₙ` partition of
+//! Definition 4 by a plain pairwise scan, against which the type
+//! analyzer's bucketed, signature-interning partition is checked.
 
 use bddfc_chase::{Certainty, ChaseConfig, ChaseStatus, ChaseVariant};
 use bddfc_core::fxhash::{FxHashMap, FxHashSet};
@@ -245,6 +249,102 @@ pub fn certainty(
         }
     }
     Certainty::Unknown
+}
+
+/// The `≡ₙ` partition of Definition 4 by the plain first-equivalent-
+/// representative scan: the oracle `bddfc_types::TypeAnalyzer::partition`
+/// is checked against. It uses no invariant buckets and no signatures.
+/// Named elements are singleton classes (Remark 1). Every other element,
+/// in sorted order, is compared with each class representative so far
+/// and joins the first it is equivalent to, else opens a class.
+///
+/// `d ≡ₙ e` is mutual inclusion of positive types, decided on connected
+/// canonical queries: for every set `S ∋ d` of at most `n` unnamed
+/// elements, connected through shared facts, the atoms with an argument
+/// in `S` and all arguments in `S` or named must map into `inst` with `d`
+/// sent to `e`, named elements fixed (and the same the other way round).
+pub fn type_partition(inst: &Instance, voc: &Vocabulary, n: usize) -> Vec<Vec<ConstId>> {
+    let named = |c: ConstId| !voc.is_null(c);
+    let mut adj: FxHashMap<ConstId, FxHashSet<ConstId>> = FxHashMap::default();
+    for fact in inst.facts() {
+        for &a in fact.args.iter().filter(|&&a| !named(a)) {
+            for &b in fact.args.iter().filter(|&&b| b != a && !named(b)) {
+                adj.entry(a).or_default().insert(b);
+            }
+        }
+    }
+    // Every connected set containing `root`, root first, grown one
+    // neighbour at a time and deduplicated as sets.
+    let subsets = |root: ConstId| -> Vec<Vec<ConstId>> {
+        let mut seen: FxHashSet<Vec<ConstId>> = FxHashSet::default();
+        let mut layer = vec![vec![root]];
+        let mut all = layer.clone();
+        for _ in 1..n {
+            let mut next = Vec::new();
+            for s in &layer {
+                for x in s {
+                    for &y in adj.get(x).into_iter().flatten() {
+                        if s.contains(&y) {
+                            continue;
+                        }
+                        let mut grown = s.clone();
+                        grown.push(y);
+                        let mut key = grown.clone();
+                        key.sort_unstable();
+                        if seen.insert(key) {
+                            next.push(grown);
+                        }
+                    }
+                }
+            }
+            all.extend(next.iter().cloned());
+            layer = next;
+        }
+        all
+    };
+    let canonical = |s: &[ConstId]| -> Vec<Atom> {
+        let mut facts: Vec<usize> =
+            s.iter().flat_map(|&c| inst.facts_with_element(c)).copied().collect();
+        facts.sort_unstable();
+        facts.dedup();
+        facts
+            .into_iter()
+            .map(|i| inst.fact(i))
+            .filter(|f| f.args.iter().all(|a| s.contains(a) || named(*a)))
+            .map(|f| {
+                let args = f.args.iter().map(|a| match s.iter().position(|x| x == a) {
+                    Some(i) => Term::Var(VarId(i as u32)),
+                    None => Term::Const(*a),
+                });
+                Atom::new(f.pred, args.collect())
+            })
+            .collect()
+    };
+    let queries: FxHashMap<ConstId, Vec<Vec<Atom>>> = inst
+        .domain()
+        .filter(|&c| !named(c))
+        .map(|c| (c, subsets(c).iter().map(|s| canonical(s)).collect()))
+        .collect();
+    let included = |d: ConstId, e: ConstId| {
+        let init: Binding = [(VarId(0), e)].into_iter().collect();
+        queries[&d].iter().all(|q| hom::hom_exists(inst, q, &init))
+    };
+    let mut classes: Vec<Vec<ConstId>> = Vec::new();
+    for d in inst.sorted_domain() {
+        let class = (!named(d))
+            .then(|| {
+                classes.iter().position(|c| {
+                    let rep = c[0];
+                    !named(rep) && included(d, rep) && included(rep, d)
+                })
+            })
+            .flatten();
+        match class {
+            Some(i) => classes[i].push(d),
+            None => classes.push(vec![d]),
+        }
+    }
+    classes
 }
 
 #[cfg(test)]
