@@ -17,8 +17,10 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-echo "==> cargo build --release"
-cargo build --release
+echo "==> cargo build --release --workspace"
+# The whole workspace, so the target/release/bddfc-* binaries run
+# directly below are never stale.
+cargo build --release --workspace
 
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
@@ -89,6 +91,10 @@ cargo run -q --release -p bddfc-fuzz --bin bddfc-fuzz -- --seed 1 --budget-ms 50
 echo "==> bddfc-fuzz chase_vs_reference (chase engine vs reference evaluator)"
 cargo run -q --release -p bddfc-fuzz --bin bddfc-fuzz -- \
     --seed 1 --budget-ms 5000 --prop chase_vs_reference
+
+echo "==> bddfc-fuzz fc_pipeline_vs_reference (Lemma 5 step 6 vs full-chase reference pipeline)"
+cargo run -q --release -p bddfc-fuzz --bin bddfc-fuzz -- \
+    --seed 1 --budget-ms 5000 --prop fc_pipeline_vs_reference
 
 echo "==> bddfc-serve golden transcript (incremental service smoke)"
 cargo run -q --release -p bddfc-serve --bin bddfc-serve -- tests/serve/session.dlg \

@@ -1,8 +1,8 @@
 //! Saturation under the datalog rules of a theory.
 //!
-//! The finite-model pipeline of Section 3 chases the quotient `Mη(S̄)`
-//! with the full theory but — by Lemma 5 — only the datalog rules ever
-//! fire. This module provides the saturation step directly: it runs a
+//! By Lemma 5, chasing the quotient `Mη(S̄)` of the Section 3
+//! finite-model pipeline fires only the datalog rules, so the pipeline's
+//! step 6 runs this saturation instead of a chase. It runs a
 //! restricted [`ChaseStepper`] over *only* the datalog rules to a
 //! fixpoint, which always terminates (no new elements are ever created).
 //! The stepper's semi-naive rounds mean every derived fact uses at least

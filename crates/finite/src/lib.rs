@@ -19,7 +19,10 @@ pub mod transform;
 pub mod vtdag;
 
 pub use certify::{certify_countermodel, CertFailure};
-pub use pipeline::{finite_countermodel, Certified, FcConfig, FcOutcome};
+pub use pipeline::{
+    finite_countermodel, finite_countermodel_with, lemma5_saturation, Certified, FcConfig,
+    FcOutcome,
+};
 pub use skeleton::{analyze_skeleton, skeleton, skeleton_flesh_preds, SkeletonReport};
 pub use transform::{hide_query, normalize_spade5, HiddenQuery, TransformError};
 pub use vtdag::{is_vtdag, vtdag_violations, VtdagViolation};

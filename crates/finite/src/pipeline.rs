@@ -14,9 +14,18 @@
 //! 5. color `S` naturally (Definition 14) and search for `n` such that
 //!    the quotient `Mₙ(S̄)` preserves positive κ-types (Definition 8) —
 //!    the Main Lemma guarantees such an `n` exists;
-//! 6. chase `Mₙ(S̄)`, which by Lemma 5 only saturates datalog rules and
-//!    creates no elements;
+//! 6. saturate `Mₙ(S̄)` with the datalog rules, then check `⊨ T`: by
+//!    Lemma 5 the chase of the quotient creates no elements, so the
+//!    saturation is the whole chase. A quotient whose saturation still
+//!    leaves an existential rule unsatisfied gets a small bounded full
+//!    chase (see [`lemma5_saturation`]); if that reaches no fixpoint,
+//!    the `(n, L)` attempt fails ("Lemma 5 violated") and the search goes
+//!    on to the next `n` or a deeper prefix;
 //! 7. **certify** the result independently (`⊨ D`, `⊨ T₀`, `⊭ Q`).
+//!
+//! [`finite_countermodel_with`] runs the same pipeline with another
+//! step 6. The fuzz harness's reference pipeline passes a budgeted full
+//! chase of `Mₙ(S̄)` there and compares verdicts.
 //!
 //! ## The finite-prefix substitution
 //!
@@ -33,7 +42,8 @@
 use crate::certify::{certify_countermodel, CertFailure};
 use crate::skeleton::skeleton;
 use crate::transform::{hide_query, normalize_spade5};
-use bddfc_chase::{chase, ChaseConfig, ChaseStatus};
+use bddfc_chase::{chase, saturate_datalog, ChaseConfig, ChaseStatus};
+use bddfc_core::satisfaction::satisfies_theory;
 use bddfc_core::{
     hom, ConjunctiveQuery, ConstId, Instance, PredId, Theory, Vocabulary,
 };
@@ -54,7 +64,11 @@ pub struct FcConfig {
     pub chase_facts: usize,
     /// Maximal quotient parameter `n` tried per prefix.
     pub n_max: usize,
-    /// Round budget for the final saturating chase of the quotient.
+    /// Round budget of the reference full chase of the quotient, the
+    /// step 6 that `bddfc_fuzz::reference` and perfbench's `fc_certify`
+    /// replica run. [`finite_countermodel`] does not read it: its step 6
+    /// is [`lemma5_saturation`], whose fallback chase has budgets of its
+    /// own.
     pub final_rounds: u32,
     /// Skeleton size cap: prefixes whose skeleton exceeds this are not
     /// quotiented (the partition cost would dominate); the run gives up
@@ -88,7 +102,7 @@ pub struct Certified {
     pub n: usize,
     /// The chase prefix depth used.
     pub chase_depth: u32,
-    /// Did Lemma 5 hold exactly (final chase created no new elements)?
+    /// Did Lemma 5 hold exactly (step 6 created no new elements)?
     pub lemma5_no_new_elements: bool,
     /// Domain size of the model.
     pub model_size: usize,
@@ -134,6 +148,52 @@ fn element_depths(res: &bddfc_chase::ChaseResult) -> FxHashMap<ConstId, u32> {
     depth
 }
 
+/// Step 6 as Lemma 5 states it: saturates the quotient `m_sigma` with
+/// the datalog rules of the normalized theory `norm` and checks that the
+/// result satisfies all of `norm`.
+///
+/// An unsatisfied existential rule means the chase of this quotient
+/// creates elements. The finite prefix can leave a rim artifact that a
+/// few new elements repair, so a full chase of `m_sigma` then runs as a
+/// fallback, within `FALLBACK_ROUNDS` rounds and `FALLBACK_GROWTH` times
+/// the quotient's facts. If it reaches no fixpoint, the attempt fails.
+pub fn lemma5_saturation(
+    m_sigma: &Instance,
+    norm: &Theory,
+    voc: &mut Vocabulary,
+) -> Result<Instance, &'static str> {
+    let sat = saturate_datalog(m_sigma, norm);
+    if satisfies_theory(&sat.instance, norm) {
+        return Ok(sat.instance);
+    }
+    let res = chase(
+        m_sigma,
+        norm,
+        voc,
+        ChaseConfig {
+            max_rounds: FALLBACK_ROUNDS,
+            max_facts: FALLBACK_GROWTH * m_sigma.len().max(1),
+            ..Default::default()
+        },
+    );
+    match res.status {
+        ChaseStatus::Fixpoint => Ok(res.instance),
+        _ => Err("Lemma 5 violated"),
+    }
+}
+
+/// Round budget of the fallback chase of [`lemma5_saturation`].
+/// `fc_pipeline_vs_reference` found quotients whose full chase reaches
+/// a fixpoint with new elements; none took more than 5 rounds.
+const FALLBACK_ROUNDS: u32 = 8;
+
+/// The fallback chase of [`lemma5_saturation`] stops once the instance
+/// holds more than this many times the quotient's facts. The quotients
+/// whose chase reached a fixpoint grew to at most 3.3 times their facts;
+/// a diverging one (example9's `n = 4` quotient at depth 8 doubles its
+/// domain every round) is cut off after a few rounds.
+const FALLBACK_GROWTH: usize = 16;
+
 /// Runs the full Theorem 2 pipeline.
 pub fn finite_countermodel(
     db: &Instance,
@@ -141,6 +201,22 @@ pub fn finite_countermodel(
     query: &ConjunctiveQuery,
     voc: &mut Vocabulary,
     config: FcConfig,
+) -> FcOutcome {
+    finite_countermodel_with(db, theory0, query, voc, config, lemma5_saturation)
+}
+
+/// Runs the Theorem 2 pipeline with `final_step` as step 6. It gets the
+/// quotient `Mₙ(S̄)`, the normalized theory and the vocabulary, and
+/// returns the instance steps 6–7 check, or why this `(n, L)` attempt
+/// fails. Step 7 certifies whatever it returns, so no `final_step` can
+/// make the pipeline return a wrong model.
+pub fn finite_countermodel_with(
+    db: &Instance,
+    theory0: &Theory,
+    query: &ConjunctiveQuery,
+    voc: &mut Vocabulary,
+    config: FcConfig,
+    mut final_step: impl FnMut(&Instance, &Theory, &mut Vocabulary) -> Result<Instance, &'static str>,
 ) -> FcOutcome {
     // Step 0: the query may already hold in D.
     if hom::satisfies_cq(db, query) {
@@ -268,37 +344,27 @@ pub fn finite_countermodel(
                 continue;
             }
 
-            // Step 6: saturate the quotient with the full normalized theory.
-            // Divergence here is detected by the round budget; a small
-            // fact budget keeps failed attempts cheap.
-            let final_res = chase(
-                &m_sigma,
-                &norm,
-                voc,
-                ChaseConfig {
-                    max_rounds: config.final_rounds,
-                    max_facts: (config.chase_facts / 4).max(10_000),
-                    ..Default::default()
-                },
-            );
-            if final_res.status != ChaseStatus::Fixpoint {
-                last_reason = format!("final chase diverged for n = {n}, depth {l}");
-                continue;
-            }
-            if !final_res.instance.facts_with_pred(forbidden).is_empty() {
+            // Step 6: by Lemma 5, saturate the quotient and check it.
+            let candidate = match final_step(&m_sigma, &norm, voc) {
+                Ok(inst) => inst,
+                Err(why) => {
+                    last_reason = format!("{why} for n = {n}, depth {l}");
+                    continue;
+                }
+            };
+            if !candidate.facts_with_pred(forbidden).is_empty() {
                 last_reason = format!("forbidden atom re-derived for n = {n}, depth {l}");
                 continue;
             }
 
             // Step 7: certify against the *original* theory and query.
             let failures: Vec<CertFailure> =
-                certify_countermodel(&final_res.instance, db, theory0, query, voc);
+                certify_countermodel(&candidate, db, theory0, query, voc);
             if failures.is_empty() {
-                let lemma5 =
-                    final_res.instance.domain_size() == m_sigma.domain_size();
-                let model = final_res.instance.restrict_to_preds(&theory0.preds());
+                let lemma5 = candidate.domain_size() == m_sigma.domain_size();
+                let model = candidate.restrict_to_preds(&theory0.preds());
                 return FcOutcome::Countermodel(Box::new(Certified {
-                    model_size: final_res.instance.domain_size(),
+                    model_size: candidate.domain_size(),
                     model,
                     kappa: kap,
                     n,
@@ -417,6 +483,50 @@ mod tests {
             .model()
             .unwrap_or_else(|| panic!("expected countermodel: {out:?}"));
         let failures = certify_countermodel(&cert.model, &db, &theory, &q, &voc);
+        assert!(failures.is_empty(), "{failures:?}");
+    }
+
+    #[test]
+    fn lemma5_violation_fails_the_attempt_and_the_search_moves_on() {
+        // Example 9's binary tree. At prefix depth 8, the saturation of
+        // every quotient (n = 2, 3, 4) leaves an existential rule
+        // unsatisfied, and the fallback chase reaches no fixpoint.
+        let tree = "F(X,Y) -> exists Z . F(Y,Z).
+                    F(X,Y) -> exists Z . G(Y,Z).
+                    G(X,Y) -> exists Z . F(Y,Z).
+                    G(X,Y) -> exists Z . G(Y,Z).
+                    F(a,b).";
+        let depth8 = FcConfig { max_chase_depth: 8, ..FcConfig::default() };
+        match run(tree, "F(X,X)", depth8).0 {
+            FcOutcome::Inconclusive(reason) => {
+                assert_eq!(reason, "Lemma 5 violated for n = 4, depth 8")
+            }
+            other => panic!("expected every depth-8 attempt to be rejected, got {other:?}"),
+        }
+
+        // Unbounded, the search goes on to depth 12, where the n = 2
+        // quotient saturates to a model that step 7 accepts.
+        let prog = parse_program(tree).unwrap();
+        let mut voc = prog.voc.clone();
+        let q = parse_query("F(X,X)", &mut voc).unwrap();
+        let mut passed = Vec::new();
+        let out = finite_countermodel_with(
+            &prog.instance,
+            &prog.theory,
+            &q,
+            &mut voc,
+            FcConfig::default(),
+            |m_sigma, norm, voc| {
+                let step = lemma5_saturation(m_sigma, norm, voc);
+                passed.push(step.is_ok());
+                step
+            },
+        );
+        assert_eq!(passed, [false, false, false, true]);
+        let cert = out.model().unwrap_or_else(|| panic!("expected countermodel: {out:?}"));
+        assert_eq!((cert.n, cert.chase_depth, cert.model_size), (2, 12, 32));
+        assert!(cert.lemma5_no_new_elements);
+        let failures = certify_countermodel(&cert.model, &prog.instance, &prog.theory, &q, &voc);
         assert!(failures.is_empty(), "{failures:?}");
     }
 

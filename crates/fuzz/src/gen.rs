@@ -13,11 +13,14 @@
 //!
 //! This module also hosts the two generators that used to be duplicated
 //! inline across `tests/{differential,determinism,lint}.rs`:
-//! [`random_program`] and [`random_program_source`].
+//! [`random_program`] and [`random_program_source`]. [`random_fc_input`]
+//! draws the Theorem 2 pipeline's inputs for `fc_pipeline_vs_reference`.
 
 use crate::proptest_lite::Gen;
 use bddfc_core::prng::SplitMix64;
-use bddfc_core::{parse_program, Fact, Instance, Program, Vocabulary};
+use bddfc_core::{
+    parse_program, Atom, ConjunctiveQuery, Fact, Instance, Program, Term, Vocabulary,
+};
 
 /// The generator strata: one per recognized Datalog∃ class, plus the
 /// anything-goes stratum.
@@ -353,6 +356,35 @@ pub fn random_program(seed: u64) -> Program {
     Program { voc, theory, instance, queries: vec![] }
 }
 
+/// A seeded input for the Theorem 2 pipeline: a random linear theory of
+/// two to six rules over the binary predicates `R0`–`R2` (linear
+/// theories always have a (♠5) form and a finite κ), a loop-free
+/// database of one to three facts over `c0`–`c3`, and a query asking for
+/// a self-loop `Rᵢ(X,X)` or a 2-cycle `Rᵢ(X,Y), Rⱼ(Y,X)`.
+pub fn random_fc_input(seed: u64) -> (Program, ConjunctiveQuery) {
+    let mut rng = SplitMix64::new(seed);
+    let mut voc = Vocabulary::new();
+    let rules = rng.range(2, 7);
+    let theory = random_linear_theory(&mut voc, 3, rules, rng.next_u64());
+    let preds: Vec<_> = (0..3).map(|i| voc.pred(&format!("R{i}"), 2)).collect();
+    let consts: Vec<_> = (0..4).map(|i| voc.constant(&format!("c{i}"))).collect();
+    let mut instance = Instance::new();
+    for _ in 0..rng.range(1, 4) {
+        let a = rng.below(consts.len());
+        let b = (a + rng.range(1, consts.len())) % consts.len();
+        instance.insert(Fact::new(preds[rng.below(3)], vec![consts[a], consts[b]]));
+    }
+    let (pi, pj) = (preds[rng.below(3)], preds[rng.below(3)]);
+    let [x, y] = ["QX", "QY"].map(|v| Term::Var(voc.var(v)));
+    let atoms = if rng.flip() {
+        vec![Atom::new(pi, vec![x, x])]
+    } else {
+        vec![Atom::new(pi, vec![x, y]), Atom::new(pj, vec![y, x])]
+    };
+    let prog = Program { voc, theory, instance, queries: vec![] };
+    (prog, ConjunctiveQuery::boolean(atoms))
+}
+
 /// A random *linear* Datalog∃ theory over `preds` binary predicates —
 /// the same construction as `bddfc_zoo::random_linear_theory`, inlined
 /// here so the fuzz crate does not depend on the zoo (the zoo's corpus
@@ -363,7 +395,7 @@ fn random_linear_theory(
     rules: usize,
     seed: u64,
 ) -> bddfc_core::Theory {
-    use bddfc_core::{Atom, Rule, Term, Theory};
+    use bddfc_core::{Rule, Theory};
     let mut rng = SplitMix64::new(seed);
     let ps: Vec<_> = (0..preds).map(|i| voc.pred(&format!("R{i}"), 2)).collect();
     let x = voc.var("Xg");
@@ -479,5 +511,16 @@ mod tests {
         let prog = random_program(42);
         assert_eq!(prog.theory, theory);
         assert_eq!(prog.instance.len() <= 8, true);
+    }
+
+    #[test]
+    fn fc_inputs_are_linear_loop_free_and_normalize() {
+        for seed in 0..200 {
+            let (mut prog, query) = random_fc_input(seed);
+            assert!(is_linear(&prog.theory), "seed {seed}");
+            assert!(prog.instance.facts().iter().all(|f| f.args[0] != f.args[1]), "seed {seed}");
+            assert!(bddfc_finite::normalize_spade5(&prog.theory, &mut prog.voc).is_ok());
+            assert!(matches!(query.atoms.len(), 1 | 2), "seed {seed}");
+        }
     }
 }

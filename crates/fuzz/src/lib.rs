@@ -8,11 +8,14 @@
 //!   stratified across the recognized classes (guarded, sticky, weakly
 //!   acyclic, Theorem 3 fragment, unrestricted);
 //! * [`reference`] — the one reference chase evaluator, naive and
-//!   written line by line after the paper's `Chase¹`;
+//!   written line by line after the paper's `Chase¹`, the pairwise `≡ₙ`
+//!   partition, and the FC pipeline with a full chase of the quotient as
+//!   its step 6;
 //! * [`props`] — the registry of differential properties: chase and
 //!   certain answers vs the reference, restricted-embeds-in-oblivious,
 //!   thread/obs invariance, witness-vs-oracle class recognizers,
-//!   rewriting vs chase, lint stability;
+//!   rewriting vs chase, lint stability, type partition and FC pipeline
+//!   vs their references;
 //! * [`shrink`] — a greedy delta-debugging shrinker that reduces any
 //!   failure to a minimal parseable reproducer;
 //! * [`report`] — deterministic human- and machine-readable reports;

@@ -19,12 +19,13 @@
 //! | `serve_vs_scratch_chase` | bddfc-serve incremental sessions vs from-scratch chase of the folded base |
 //! | `static_bound_vs_observed_rounds` | bddfc-analyze termination certificates vs the real chase |
 //! | `type_partition_vs_reference` | `TypeAnalyzer::partition` vs the reference pairwise `≡ₙ` scan, on chased instances and natural-colored skeletons, `n ∈ {1,2,3}` |
+//! | `fc_pipeline_vs_reference` | `finite_countermodel` (step 6: datalog saturation + `⊨ T`) vs the reference pipeline (step 6: full chase of the quotient), on seeded linear binary theories |
 //!
 //! [`Mutation`] deliberately breaks one engine side — the seeded
 //! known-bad mutations behind `bddfc-fuzz --mutate` that prove the
 //! harness catches and shrinks real discrepancies.
 
-use crate::gen::FuzzCase;
+use crate::gen::{random_fc_input, FuzzCase};
 use crate::proptest_lite::{ensure, ensure_eq, PropResult};
 use crate::reference::{self, Reference};
 use bddfc_analyze::{analyze as static_analyze, domain::DomainAnalysis};
@@ -43,7 +44,7 @@ use bddfc_core::{
     hom, par, Atom, Binding, ConjunctiveQuery, Fact, Instance, PredId, Program, Term, Theory,
     Ucq, Vocabulary,
 };
-use bddfc_finite::{normalize_spade5, skeleton};
+use bddfc_finite::{finite_countermodel, normalize_spade5, skeleton, FcConfig, FcOutcome};
 use bddfc_lint::lint_source;
 use bddfc_rewrite::{certainly_entailed_rewriting, RewriteConfig};
 use bddfc_serve::{transcript as serve_transcript, ServeConfig, Server};
@@ -192,6 +193,11 @@ pub static PROPS: &[Prop] = &[
         name: "type_partition_vs_reference",
         describe: "the type analyzer's ≡ₙ partition equals the reference pairwise scan",
         check: type_partition_vs_reference,
+    },
+    Prop {
+        name: "fc_pipeline_vs_reference",
+        describe: "the FC pipeline's Lemma 5 step 6 gives the full-chase reference's verdicts",
+        check: fc_pipeline_vs_reference,
     },
 ];
 
@@ -809,6 +815,62 @@ fn type_partition_vs_reference(_case: &FuzzCase, prog: &Program, ctx: &PropCtx) 
 
 /// Fact cap of the chase prefix `type_partition_vs_reference` partitions.
 const TYPE_PARTITION_FACTS: usize = 300;
+
+/// `fc_pipeline_vs_reference`: the Theorem 2 pipeline, whose step 6
+/// saturates the quotient with the datalog rules and checks `⊨ T`
+/// (Lemma 5), gives the same verdict as [`reference::finite_countermodel`],
+/// whose step 6 is a budgeted full chase of the quotient: the same kind,
+/// the same `n`, prefix depth and model size for a countermodel, and the
+/// same depth for an entailed query. Inconclusive runs only need to agree
+/// on the kind, since their reasons name the failing step.
+///
+/// The input is a pure function of the case seed, not the case program:
+/// [`random_fc_input`]'s linear binary theory, loop-free database and
+/// query. Shrinking the case source therefore leaves the input as it is,
+/// and the failure message prints it. The budgets are [`FC_CONFIG`]. The
+/// mutation runs on the shipped pipeline's theory.
+fn fc_pipeline_vs_reference(case: &FuzzCase, _prog: &Program, ctx: &PropCtx) -> PropResult {
+    let (prog, query) = random_fc_input(case.seed);
+    let mutated = ctx.mutation.apply(&prog.theory);
+    let (db, voc) = (&prog.instance, &prog.voc);
+    let expect = reference::finite_countermodel(db, &prog.theory, &query, &mut voc.clone(), FC_CONFIG);
+    let got = finite_countermodel(db, &mutated, &query, &mut voc.clone(), FC_CONFIG);
+    ensure_eq(
+        fc_verdict(&expect),
+        fc_verdict(&got),
+        &format!(
+            "verdicts differ (reference, shipped) on\n{}{}?- {}.",
+            prog.theory.display(voc),
+            db.display(voc),
+            query.display(voc)
+        ),
+    )
+}
+
+/// What `fc_pipeline_vs_reference` compares of a pipeline outcome.
+fn fc_verdict(out: &FcOutcome) -> String {
+    match out {
+        FcOutcome::Countermodel(c) => {
+            format!("countermodel (n {}, depth {}, size {})", c.n, c.chase_depth, c.model_size)
+        }
+        FcOutcome::Entailed { depth } => format!("entailed at depth {depth}"),
+        FcOutcome::Inconclusive(_) => "inconclusive".into(),
+    }
+}
+
+/// Budgets of `fc_pipeline_vs_reference`: small enough that both
+/// pipelines finish a case in milliseconds. The reference chase gets 16
+/// rounds rather than the default 64, which keeps the debug-build tests
+/// quick and is still twice the shipped fallback chase's 8.
+const FC_CONFIG: FcConfig = FcConfig {
+    rewrite: RewriteConfig { max_disjuncts: 50, max_steps: 2_000, max_piece: 2 },
+    chase_depth: 6,
+    max_chase_depth: 12,
+    chase_facts: 5_000,
+    n_max: 3,
+    final_rounds: 16,
+    max_skeleton: 500,
+};
 
 /// `lint_stability`: linting the case source twice gives byte-identical
 /// reports (text and JSON) and never panics. (Panic-freedom is enforced

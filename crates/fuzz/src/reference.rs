@@ -33,13 +33,20 @@
 //! [`type_partition`] is the second oracle here: the `≡ₙ` partition of
 //! Definition 4 by a plain pairwise scan, against which the type
 //! analyzer's bucketed, signature-interning partition is checked.
+//!
+//! [`finite_countermodel`] is the third: the Theorem 2 pipeline with a
+//! budgeted full chase of the quotient `Mₙ(S̄)` as its step 6
+//! ([`final_chase`]), against which the shipped pipeline's datalog
+//! saturation plus `⊨ T` check (Lemma 5) is compared.
 
-use bddfc_chase::{Certainty, ChaseConfig, ChaseStatus, ChaseVariant};
+use bddfc_chase::{chase, Certainty, ChaseConfig, ChaseStatus, ChaseVariant};
 use bddfc_core::fxhash::{FxHashMap, FxHashSet};
 use bddfc_core::satisfaction::{head_satisfied, restrict_binding};
 use bddfc_core::{
-    hom, Atom, Binding, ConstId, Fact, Instance, Rule, Term, Theory, Ucq, VarId, Vocabulary,
+    hom, Atom, Binding, ConjunctiveQuery, ConstId, Fact, Instance, Rule, Term, Theory, Ucq, VarId,
+    Vocabulary,
 };
+use bddfc_finite::{finite_countermodel_with, FcConfig, FcOutcome};
 use std::ops::{ControlFlow, Range};
 
 /// What one reference round produced.
@@ -345,6 +352,47 @@ pub fn type_partition(inst: &Instance, voc: &Vocabulary, n: usize) -> Vec<Vec<Co
         }
     }
     classes
+}
+
+/// The reference step 6 of the Theorem 2 pipeline: a restricted chase
+/// of the quotient `m_sigma` under the full normalized theory `norm`,
+/// within `config.final_rounds` rounds and a quarter of the prefix fact
+/// budget (at least 10,000 facts). It fails the attempt unless the chase
+/// reaches a fixpoint, which may hold elements the quotient lacks.
+pub fn final_chase(
+    m_sigma: &Instance,
+    norm: &Theory,
+    voc: &mut Vocabulary,
+    config: &FcConfig,
+) -> Result<Instance, &'static str> {
+    let res = chase(
+        m_sigma,
+        norm,
+        voc,
+        ChaseConfig {
+            max_rounds: config.final_rounds,
+            max_facts: (config.chase_facts / 4).max(10_000),
+            ..Default::default()
+        },
+    );
+    match res.status {
+        ChaseStatus::Fixpoint => Ok(res.instance),
+        _ => Err("final chase diverged"),
+    }
+}
+
+/// The Theorem 2 pipeline with [`final_chase`] as its step 6: the
+/// counterpart of `bddfc_finite::finite_countermodel`.
+pub fn finite_countermodel(
+    db: &Instance,
+    theory0: &Theory,
+    query: &ConjunctiveQuery,
+    voc: &mut Vocabulary,
+    config: FcConfig,
+) -> FcOutcome {
+    finite_countermodel_with(db, theory0, query, voc, config, |m_sigma, norm, voc| {
+        final_chase(m_sigma, norm, voc, &config)
+    })
 }
 
 #[cfg(test)]

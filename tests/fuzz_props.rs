@@ -104,3 +104,14 @@ fn chase_vs_reference_catches_skip_last_rule() {
     let caught = (0..300u64).find(|&seed| check_case(&gen_case(seed), prop, &ctx).is_err());
     assert!(caught.is_some(), "chase_vs_reference missed skip-last-rule in seeds 0..300");
 }
+
+/// The same for the Theorem 2 pipeline: a shipped pipeline that forgets
+/// the theory's last rule must be caught by `fc_pipeline_vs_reference`
+/// against the reference pipeline.
+#[test]
+fn fc_pipeline_vs_reference_catches_skip_last_rule() {
+    let prop = find_prop("fc_pipeline_vs_reference").expect("registered");
+    let ctx = PropCtx { mutation: Mutation::SkipLastRule, ..PropCtx::default() };
+    let caught = (0..300u64).find(|&seed| check_case(&gen_case(seed), prop, &ctx).is_err());
+    assert!(caught.is_some(), "fc_pipeline_vs_reference missed skip-last-rule in seeds 0..300");
+}
